@@ -14,17 +14,22 @@ from typing import NamedTuple
 from .errors import LengthMismatch, NotAPartition
 
 
+def _is_part(p):
+    # bool is an int subclass, but True is not a part
+    return isinstance(p, int) and not isinstance(p, bool) and p >= 0
+
+
 def check_composition(lam):
     lam = tuple(lam)
     for p in lam:
-        if not isinstance(p, int) or p < 0:
+        if not _is_part(p):
             raise ValueError(f"not a composition: {lam}")
     return lam
 
 
 def is_partition(lam):
     lam = tuple(lam)
-    return all(isinstance(p, int) and p >= 0 for p in lam) and \
+    return all(_is_part(p) for p in lam) and \
         all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 

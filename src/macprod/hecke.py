@@ -14,8 +14,8 @@ from itertools import accumulate
 
 from .compositions import (antidominant, check_composition, dominant,
                            eigen_exponents, orbit, raising_word, rho_of)
-from .errors import (BranchResolutionFailure, IndexOutOfRange, NotRaisable,
-                     SingularSystem)
+from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
+                     NotRaisable, SingularSystem)
 from .matprod import compute_f
 from .qtfield import QTRat, one
 from .xpoly import XPoly
@@ -120,7 +120,8 @@ def _compute_E(lam):
         nxt = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
         E = raise_E(cur, i, E)
         cur = nxt
-    assert cur == lam
+    if cur != lam:
+        raise InternalError(f"raising word of {lam} ended at {cur}")
     return E
 
 

@@ -17,11 +17,14 @@ from typing import NamedTuple
 
 from .compositions import (check_composition, check_partition, conjugate,
                            dominant, multiplicities, orbit, star)
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import (IndexOutOfRange, InternalError, InternalNonPolynomial,
+                     LengthMismatch)
 from .lattice import build_tildeL
-from .oscillator import kpow, net_change, trace_closed_form
-from .qtfield import QTRat, one
+from .oscillator import kpow, net_change, trace_factored
+from .qtfield import Factored, QTRat, one
 from .xpoly import XPoly
+
+_ONE_F = Factored({(0, 0): 1})
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +34,7 @@ def _tl(level):
 
 @lru_cache(maxsize=None)
 def _trace(word):
-    return trace_closed_form(word)
+    return trace_factored(word)
 
 
 def _slots(r):
@@ -78,9 +81,14 @@ def _row_paths(part, r):
 
 
 class Config(NamedTuple):
-    paths: tuple   # one lattice path per row
-    exps: tuple    # x-exponents per row
-    weight: QTRat  # product of the per-family traces
+    paths: tuple         # one lattice path per row
+    exps: tuple          # x-exponents per row
+    factored: Factored   # product of the per-family traces, unreduced
+
+    @property
+    def weight(self):
+        """The trace weight as a reduced QTRat."""
+        return self.factored.reduce()
 
 
 def expand_configurations(lam, r=None):
@@ -99,7 +107,7 @@ def expand_configurations(lam, r=None):
                 net[slot] = net.get(slot, 0) + d
         if any(net.values()):
             continue
-        weight = one()
+        weight = _ONE_F
         for slot in slots:
             word = ()
             for rp in combo:
@@ -113,20 +121,41 @@ def expand_configurations(lam, r=None):
     return out
 
 
+def _config_sums(configs):
+    """Factored weight sum per x-exponent, each over its own lcm."""
+    groups = {}
+    for cfg in configs:
+        groups.setdefault(cfg.exps, []).append(cfg.factored)
+    return {e: Factored.sum(ws) for e, ws in groups.items()}
+
+
+def _reduced_poly(n, sums, scale=_ONE_F):
+    """XPoly from factored coefficients, each scaled and reduced once."""
+    out = {}
+    for e, s in sums.items():
+        c = (s * scale).reduce()
+        if c:
+            out[e] = c
+    return XPoly._raw(n, out)
+
+
 def raw_trace_sum(lam, r=None):
     """Sum over configurations before normalisation: Omega_lam * f_lam."""
     lam = check_composition(lam)
     if r is None:
         r = max(lam) if lam else 0
-    acc = {}
-    for cfg in expand_configurations(lam, r):
-        cur = acc.get(cfg.exps)
-        v = cfg.weight if cur is None else cur + cfg.weight
-        if v:
-            acc[cfg.exps] = v
-        else:
-            del acc[cfg.exps]
-    return XPoly._raw(len(lam), acc)
+    return _reduced_poly(len(lam), _config_sums(expand_configurations(lam, r)))
+
+
+def _omega(lam, r, power):
+    """Omega_lam^(-power): prod_{i<j<=r} (1 - q^(j-i) t^(lam'_i - lam'_j))^power
+    over the conjugate shape."""
+    conj = conjugate(dominant(lam), width=r)
+    w = _ONE_F
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            w = w * Factored.binomial(j - i, conj[i - 1] - conj[j - 1], power)
+    return w
 
 
 def omega_norm(lam, r=None):
@@ -134,22 +163,18 @@ def omega_norm(lam, r=None):
     lam = check_composition(lam)
     if r is None:
         r = max(lam) if lam else 0
-    conj = conjugate(dominant(lam), width=r)
-    w = one()
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            w = w * (one() - QTRat.monomial(qe=j - i,
-                                            te=conj[i - 1] - conj[j - 1]))
-    return w.inverse()
+    return _omega(lam, r, -1).reduce()
 
 
 @lru_cache(maxsize=None)
 def _compute_f(lam, r):
-    raw = raw_trace_sum(lam, r)
-    f = raw.scale(omega_norm(lam, r).inverse())
-    total = sum(lam)
-    assert f.is_homogeneous(total), "trace sum lost homogeneity"
-    assert f.coeff_of(lam).is_one(), "normalised sum is not monic at x^lam"
+    f = _reduced_poly(len(lam), _config_sums(expand_configurations(lam, r)),
+                      _omega(lam, r, 1))
+    if not f.is_homogeneous(sum(lam)):
+        raise InternalNonPolynomial(f"trace sum of {lam} lost homogeneity")
+    if not f.coeff_of(lam).is_one():
+        raise InternalNonPolynomial(
+            f"normalised sum of {lam} is not monic at x^lam")
     return f
 
 
@@ -187,13 +212,13 @@ def transition(lam, mu, r=None):
         exps.append(t.xdeg)
         for slot, atoms in t.factors:
             fac[slot] = fac.get(slot, ()) + atoms
-    coeff = one()
+    coeff = _ONE_F
     for f in range(2, r + 1):
         word = fac.get((r, f), ()) + (kpow(0, f - 1),)
         if net_change(word):
             return XPoly.zero(n)
         coeff = coeff * _trace(word)
-    return XPoly.monomial(tuple(exps), coeff)
+    return XPoly.monomial(tuple(exps), coeff.reduce())
 
 
 def recursion_prefactor(lam, r=None):
@@ -234,7 +259,9 @@ def recursion_report(lam, r=None):
         w = transition(lam, mu, r)
         if not w:
             continue
-        assert dominant(mu) == target, "transfer reached a foreign shape"
+        if dominant(mu) != target:
+            raise InternalError(
+                f"transfer from {lam} reached the foreign shape {mu}")
         terms.append((mu, w))
         rhs = rhs + w * compute_f(mu, r - 1)
     pref = recursion_prefactor(lam, r)
@@ -247,18 +274,26 @@ def verify_recursion(lam, r=None):
 
 
 def compute_P(lam, n=None):
-    """Symmetric sum of f_mu over all rearrangements of the partition."""
+    """Symmetric sum of f_mu over all rearrangements of the partition.
+
+    Omega depends only on the sorted shape, so the configurations of the
+    whole orbit are summed together and each coefficient is reduced once."""
     lam = check_partition(lam)
     if n is None:
         n = len(lam)
     if n < len(lam):
         raise LengthMismatch(f"{n} variables cannot hold {lam}")
     padded = tuple(lam) + (0,) * (n - len(lam))
-    acc = XPoly.zero(n)
-    for mu in orbit(padded):
-        acc = acc + compute_f(mu)
-    assert acc.is_symmetric(), "orbit sum failed to symmetrise"
-    return acc
+    r = max(padded) if padded else 0
+    configs = [c for mu in orbit(padded) for c in expand_configurations(mu, r)]
+    P = _reduced_poly(n, _config_sums(configs), _omega(padded, r, 1))
+    if not P.is_symmetric():
+        raise InternalError(f"orbit sum of {lam} failed to symmetrise")
+    if not P.is_homogeneous(sum(padded)):
+        raise InternalError(f"orbit sum of {lam} is not homogeneous")
+    if not P.coeff_of(padded).is_one():
+        raise InternalError(f"orbit sum of {lam} is not monic at x^lam")
+    return P
 
 
 def generating_trace(r, n):

@@ -13,8 +13,8 @@ from itertools import permutations
 
 from .compositions import (check_composition, check_partition, dominance_leq,
                            dominant, eigen_exponents, orbit)
-from .errors import (InternalNonDivisibility, NoSolution, NonUnique,
-                     ReducibleChain)
+from .errors import (InternalError, InternalNonDivisibility, NoSolution,
+                     NonUnique, ReducibleChain)
 from .hecke import murphy_apply
 from .oscillator import parse_word
 from .qtfield import QTRat, one
@@ -233,7 +233,8 @@ def hall_littlewood(lam, n):
     for part in set(padded):
         v = v * _t_factorial(padded.count(part))
     P = num.scale(v.inverse())
-    assert P.coeff_of(padded).is_one(), "symmetrization lost monicity"
+    if not P.coeff_of(padded).is_one():
+        raise InternalError(f"symmetrization of {lam} lost monicity")
     return P
 
 

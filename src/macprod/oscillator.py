@@ -16,7 +16,7 @@ without case analysis.
 from __future__ import annotations
 
 from .errors import CutoffTooSmall, DivergentTrace, NotDyck
-from .qtfield import QTRat, one, zero
+from .qtfield import Factored, QTRat, one, zero
 
 LOWER = ("a",)
 RAISE = ("A",)
@@ -96,14 +96,29 @@ def walk(word, m, cutoff=None):
     return h, factor
 
 
-def trace_closed_form(word):
-    """Sum_{m>=0} <m|word|m> as a closed-form QTRat.
+def _expand_lowers(heights):
+    """Coefficients of prod_s (1 - t^{h_s} y) in y: entry k maps
+    t-exponent -> int for the y^k term."""
+    coeffs = [{0: 1}]
+    for hs in heights:
+        new = [dict(c) for c in coeffs] + [{}]
+        for k, c in enumerate(coeffs):
+            tgt = new[k + 1]
+            for te, v in c.items():
+                tgt[te + hs] = tgt.get(te + hs, 0) - v
+        coeffs = [{te: v for te, v in c.items() if v} for c in new]
+    return coeffs
+
+
+def trace_factored(word):
+    """Sum_{m>=0} <m|word|m> as a Factored value, denominators factored.
 
     Walking right to left with symbolic offset h from the start state m,
     each lower contributes (1 - t^(h+m)), each kpow(p,c) contributes
     t^(p(h+m)) q^(c(h+m)); the product expands into finitely many
-    geometric series in m.  Raises DivergentTrace when the total kpow
-    exponent is (0, 0) on a balanced word (ratio-1 geometric series).
+    geometric series in m, summed as sum_k c_k / (1 - q^Q t^(P+k)).
+    Raises DivergentTrace when the total kpow exponent is (0, 0) on a
+    balanced word (ratio-1 geometric series).
     """
     h = 0
     ct = cq = 0  # constant Laurent prefactor exponents
@@ -123,29 +138,18 @@ def trace_closed_form(word):
             P += te
             Q += qe
     if h != 0:
-        return zero()
+        return Factored({})
     if P == 0 and Q == 0:
         raise DivergentTrace("balanced word with no damping k-power")
-    # expand prod_s (1 - t^{h_s} y), y = t^m: coeffs[k] maps t-exponent -> int
-    coeffs = [{0: 1}]
-    for hs in lower_heights:
-        new = [dict(c) for c in coeffs] + [{}]
-        for k, c in enumerate(coeffs):
-            tgt = new[k + 1]
-            for te, v in c.items():
-                tgt[te + hs] = tgt.get(te + hs, 0) - v
-        coeffs = [{te: v for te, v in c.items() if v} for c in new]
-    pref = QTRat.monomial(qe=cq, te=ct)
-    total = zero()
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        num = zero()
-        for te, v in c.items():
-            num = num + QTRat.monomial(te=te, c=v)
-        den = 1 - QTRat.monomial(qe=Q, te=P + k)
-        total = total + pref * num / den
-    return total
+    terms = [Factored({(cq, ct + te): v for te, v in c.items()})
+             * Factored.binomial(Q, P + k, -1)
+             for k, c in enumerate(_expand_lowers(lower_heights)) if c]
+    return Factored.sum(terms).cancel()
+
+
+def trace_closed_form(word):
+    """Sum_{m>=0} <m|word|m> as a closed-form QTRat (see trace_factored)."""
+    return trace_factored(word).reduce()
 
 
 class FockMatrix:
@@ -263,17 +267,9 @@ def psi_eval(mvec, x):
     x is a QTRat; the sum collapses to sum_k c_k / (1 - x t^k).  Raises
     DivergentTrace if some needed denominator 1 - x t^k is zero.
     """
-    coeffs = [{0: 1}]  # poly in y = t^n, coefficient dicts te -> int
-    for i, mi in enumerate(mvec, start=1):
-        for _ in range(mi):
-            new = [dict(c) for c in coeffs] + [{}]
-            for k, c in enumerate(coeffs):
-                tgt = new[k + 1]
-                for te, v in c.items():
-                    tgt[te + i] = tgt.get(te + i, 0) - v
-            coeffs = [{te: v for te, v in c.items() if v} for c in new]
+    heights = [i for i, mi in enumerate(mvec, start=1) for _ in range(mi)]
     total = zero()
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(_expand_lowers(heights)):
         if not c:
             continue
         num = zero()

@@ -9,14 +9,25 @@ equal and JSON output is canonical.
 The formal half-integer parameter that shifts t-exponents by multiples of
 a symbol u never appears here: a power t^(a + b*u) is stored as the
 monomial q^b t^a, i.e. t^u is identified with q.
+
+Two routes lead to the canonical form.  General QTRat arithmetic (Hecke
+operators, the oracle RREF, specialization) reduces after every operation
+with a bivariate primitive-PRS gcd.  The configuration sums behind f_lam
+and P_lam, and the oscillator traces they multiply, use Factored values
+instead (the last section): every denominator there is a product of
+binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
+in advance.  Sums then run over the lcm of the factor multisets, and one
+trial division per listed factor reduces the result, so that path takes
+no gcd at all.  Both routes give the same unique reduced pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd
 
-from .errors import DivisionByZero, SpecializationPole
+from .errors import DivisionByZero, InternalError, SpecializationPole
 
 Key = tuple  # (q_exp, t_exp)
 
@@ -695,3 +706,186 @@ def _spec_poly(d, q, t):
             term = term * QTRat.from_fraction(scale_t)
         out = out + term
     return out
+
+
+#### factored denominators
+#
+# On the configuration-sum path (oscillator traces, f_lam, P_lam) every
+# denominator is a product of binomials 1 - q^A t^B.  With g = gcd(A, B),
+# A = g a and B = g b,
+#
+#     1 - q^A t^B = -prod_{d | g} Phi_d(q^a t^b),
+#
+# and Phi_d(q^a t^b) is irreducible in Z[q, t] (a unimodular change of
+# monomials sends q^a t^b to a single variable).  A Factored value keeps its
+# denominator as a multiset of these factors: sums run over the lcm of the
+# multisets, and one reduction by trial division against the listed factors
+# yields the canonical QTRat.  Both steps are exact without any gcd.
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    return (QTPoly._raw(a) * QTPoly._raw(b)).d
+
+
+def _dict_iadd(acc: dict, b: dict) -> dict:
+    """acc += b in place."""
+    for k, v in b.items():
+        nv = acc.get(k, 0) + v
+        if nv:
+            acc[k] = nv
+        else:
+            del acc[k]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(d):
+    """Phi_d(x) as a tuple of ints, index = degree."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _uni_divexact(p, list(_cyclotomic_coeffs(e)))
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(factor):
+    """Phi_d(q^a t^b) for factor = (d, a, b), as a sparse dict."""
+    d, a, b = factor
+    return {(k * a, k * b): c
+            for k, c in enumerate(_cyclotomic_coeffs(d)) if c}
+
+
+def binomial_factors(A, B):
+    """1 - q^A t^B as (sign, factor multiset)."""
+    if A < 0 or B < 0 or not (A or B):
+        raise InternalError(f"binomial 1 - q^{A} t^{B} has no factored form")
+    g = _igcd(A, B)
+    a, b = A // g, B // g
+    return -1, tuple(((d, a, b), 1) for d in range(1, g + 1) if g % d == 0)
+
+
+def _divide_factor(num, factor):
+    """num / Phi_d(q^a t^b) when exact, else None.
+
+    A polynomial in x = q^a t^b maps each line (i, j) + k (a, b) into
+    itself, so the division splits into univariate ones along the lines.
+    """
+    p = _cyclotomic_coeffs(factor[0])
+    a, b = factor[1], factor[2]
+    step = a * a + b * b
+    dp = len(p) - 1
+    lines = {}
+    for (i, j), c in num.items():
+        # b i - a j names the line; i a + j b grows by `step` along it
+        lines.setdefault(b * i - a * j, []).append((i * a + j * b, i, j, c))
+    out = {}
+    for terms in lines.values():
+        s0, i0, j0, _ = min(terms)
+        u = [0] * ((max(terms)[0] - s0) // step + 1)
+        if len(u) <= dp:
+            return None
+        for s, _, _, c in terms:
+            u[(s - s0) // step] = c
+        for k in range(len(u) - 1, dp - 1, -1):
+            c = u[k]
+            if c:
+                out[(i0 + (k - dp) * a, j0 + (k - dp) * b)] = c
+                for e, pc in enumerate(p):
+                    u[k - dp + e] -= c * pc
+        if any(u):
+            return None
+    return out
+
+
+class Factored:
+    """num / prod Phi_d(q^a t^b)^m with a Laurent numerator dict.
+
+    den is a sorted tuple of ((d, a, b), m) pairs; m < 0 puts the factor
+    into the numerator.  The value is not reduced until reduce().
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=()):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def binomial(cls, A, B, power):
+        """(1 - q^A t^B)^power for an integer power of either sign."""
+        sign, den = binomial_factors(A, B)
+        return cls({(0, 0): sign ** abs(power)},
+                   tuple((f, -power * m) for f, m in den))
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __mul__(self, other):
+        den = dict(self.den)
+        for f, m in other.den:
+            den[f] = den.get(f, 0) + m
+        return Factored(_dict_mul(self.num, other.num),
+                        tuple(sorted((f, m) for f, m in den.items() if m)))
+
+    @staticmethod
+    def sum(terms):
+        """Sum over the lcm of the factor multisets: each numerator is
+        multiplied by the factors its denominator lacks."""
+        by_den = {}
+        for x in terms:
+            _dict_iadd(by_den.setdefault(x.den, {}), x.num)
+        by_den = {den: num for den, num in by_den.items() if num}
+        lcm = {}
+        for den in by_den:
+            for f, m in den:
+                lcm[f] = max(lcm.get(f, 0), m)
+        total = {}
+        for den, num in by_den.items():
+            have = dict(den)
+            for f, m in lcm.items():
+                for _ in range(m - have.get(f, 0)):
+                    num = _dict_mul(num, _cyclotomic(f))
+            _dict_iadd(total, num)
+        if not total:
+            return Factored({})
+        return Factored(total,
+                        tuple(sorted((f, m) for f, m in lcm.items() if m)))
+
+    def cancel(self):
+        """Divide out each listed factor that divides the numerator, up to
+        its multiplicity; negative multiplicities are multiplied in."""
+        num = self.num
+        if not num:
+            return Factored({})
+        den = []
+        for f, m in self.den:
+            while m < 0:
+                num = _dict_mul(num, _cyclotomic(f))
+                m += 1
+            while m:
+                quo = _divide_factor(num, f)
+                if quo is None:
+                    break
+                num = quo
+                m -= 1
+            if m:
+                den.append((f, m))
+        return Factored(num, tuple(den))
+
+    def reduce(self):
+        """The canonical QTRat: cancel, strip the monomial content and put
+        the lex-leading coefficient of the denominator positive."""
+        x = self.cancel()
+        if not x.num:
+            return _ZERO
+        dq = max(-min(k[0] for k in x.num), 0)
+        dt = max(-min(k[1] for k in x.num), 0)
+        num = {(qe + dq, te + dt): c for (qe, te), c in x.num.items()}
+        den = {(dq, dt): 1}
+        for f, m in x.den:
+            for _ in range(m):
+                den = _dict_mul(den, _cyclotomic(f))
+        if den[max(den)] < 0:
+            num = {k: -v for k, v in num.items()}
+            den = {k: -v for k, v in den.items()}
+        return QTRat._raw(QTPoly._raw(num), QTPoly._raw(den))

@@ -1,0 +1,163 @@
+"""Factored-denominator sums against the gcd-reduced QTRat route."""
+
+import os
+import subprocess
+import sys
+from itertools import permutations
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macprod import matprod
+from macprod.compositions import check_composition, is_partition
+from macprod.errors import InternalError
+from macprod.matprod import (compute_P, compute_f, expand_configurations,
+                             raw_trace_sum)
+from macprod.qtfield import Factored, QTPoly, QTRat, binomial_factors, zero
+from macprod.xpoly import XPoly
+
+ONE_P = QTPoly({(0, 0): 1})
+
+# binomials 1 - q^A t^B, gcd(A, B) > 1 included (1 - t^4, 1 - q^2 t^2)
+binomials = st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 4), (2, 2), (1, 2),
+                             (3, 0), (2, 4), (3, 6), (4, 2)])
+# extra numerator factors: binomials and single cyclotomic pieces
+# 1 + t^2 (of 1 - t^4) and 1 + q t (of 1 - q^2 t^2)
+pieces = st.sampled_from([QTPoly({(0, 0): 1, (0, 1): -1}),
+                          QTPoly({(0, 0): 1, (0, 2): 1}),
+                          QTPoly({(0, 0): 1, (1, 1): 1}),
+                          QTPoly({(0, 0): 1, (2, 2): -1}),
+                          QTPoly({(0, 0): 1, (1, 2): -1})])
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.integers(-3, 3).filter(bool), max_size=4)
+monomials = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def binomial_poly(A, B):
+    return ONE_P - QTPoly.mono(A, B)
+
+
+@st.composite
+def terms(draw):
+    """(Factored value, the same value through QTRat's gcd reduction)."""
+    num = QTPoly(draw(polys))
+    for p in draw(st.lists(pieces, max_size=3)):
+        num = num * p
+    dens = draw(st.lists(binomials, max_size=4))
+    mq, mt = draw(monomials)
+    den = ONE_P
+    x = Factored({(qe + mq, te + mt): c for (qe, te), c in num.d.items()})
+    for A, B in dens:
+        den = den * binomial_poly(A, B)
+        x = x * Factored.binomial(A, B, -1)
+    return x, QTRat(num, den) * QTRat.monomial(mq, mt)
+
+
+def same(a, b):
+    return a.num.d == b.num.d and a.den.d == b.den.d
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms())
+def test_reduce_matches_gcd_route(pair):
+    x, want = pair
+    assert same(x.reduce(), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(terms(), max_size=4))
+def test_sum_over_lcm_matches_gcd_route(pairs):
+    want = zero()
+    for _, w in pairs:
+        want = want + w
+    assert same(Factored.sum([x for x, _ in pairs]).reduce(), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms(), terms())
+def test_product_and_binomial_powers(p1, p2):
+    (x, a), (y, b) = p1, p2
+    assert same((x * y).reduce(), a * b)
+    # multiplying in a binomial cancels its listed factors again
+    back = x * Factored.binomial(2, 2, -1) * Factored.binomial(2, 2, 1)
+    assert same(back.reduce(), a)
+
+
+def test_binomial_factors_values():
+    assert binomial_factors(0, 4) == (-1, (((1, 0, 1), 1), ((2, 0, 1), 1),
+                                           ((4, 0, 1), 1)))
+    assert binomial_factors(2, 2) == (-1, (((1, 1, 1), 1), ((2, 1, 1), 1)))
+    assert binomial_factors(2, 3) == (-1, (((1, 2, 3), 1),))
+    for A, B in ((-1, 2), (1, -2), (0, 0)):
+        with pytest.raises(InternalError):
+            binomial_factors(A, B)
+
+
+def test_zero_and_cancellation():
+    assert not Factored.sum([])
+    assert Factored({}).reduce() == zero()
+    x = Factored({(0, 0): 1}) * Factored.binomial(0, 1, -1)
+    minus = Factored({(0, 0): -1}) * Factored.binomial(0, 1, -1)
+    assert not Factored.sum([x, minus])
+    # (1 - t^4)/(1 - t^2) = 1 + t^2 with no denominator left
+    r = (Factored.binomial(0, 4, 1) * Factored.binomial(0, 2, -1)).reduce()
+    assert r == QTRat(QTPoly({(0, 0): 1, (0, 2): 1}))
+
+
+SHAPES = [(1, 0), (0, 1, 1), (2, 0, 1), (1, 2, 0, 1), (0, 0, 1, 2), (2, 2, 1),
+          (3, 0, 1, 2), (1, 0, 2, 0, 1)]
+
+
+@pytest.mark.parametrize("lam", SHAPES)
+def test_raw_trace_sum_matches_per_configuration_sum(lam):
+    acc = {}
+    for cfg in expand_configurations(lam):
+        acc[cfg.exps] = acc.get(cfg.exps, zero()) + cfg.weight
+    want = XPoly(len(lam), acc)
+    assert raw_trace_sum(lam) == want
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 1), (2, 1), (2, 1, 0), (2, 2, 0),
+                                 (3, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0)])
+def test_compute_P_matches_orbit_sum_of_f(lam):
+    acc = {}
+    for mu in set(permutations(lam)):
+        for e, c in compute_f(mu).terms.items():
+            acc[e] = acc.get(e, zero()) + c
+    assert compute_P(lam) == XPoly(len(lam), acc)
+
+
+def test_rank4_five_parts_monic_homogeneous():
+    lam = (0, 1, 2, 3, 4)
+    f = compute_f(lam)
+    assert f.coeff_of(lam).is_one()
+    assert f.is_homogeneous(sum(lam))
+
+
+def test_bool_parts_rejected():
+    with pytest.raises(ValueError):
+        check_composition((True, 0, 1))
+    assert not is_partition((True, 0))
+    with pytest.raises(ValueError):
+        compute_f((True, 0, 1))
+
+
+def test_compute_P_raises_when_not_symmetric(monkeypatch):
+    monkeypatch.setattr(matprod, "orbit", lambda lam: [lam])
+    with pytest.raises(InternalError):
+        compute_P((2, 1))
+
+
+def test_internal_error_exit_3_under_optimize():
+    # invariants are raises, not asserts, so -O keeps them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from macprod import cli, matprod; "
+            "matprod.orbit = lambda lam: [lam]; "
+            "sys.exit(cli.main(['compute', 'P', '--lambda', '2,1']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "internal" in proc.stderr
