@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import factorial
-from typing import NamedTuple
 
 from .errors import LengthMismatch, NotAPartition
 
@@ -127,18 +126,6 @@ def eigen_exponents(lam):
     n = len(lam)
     inv = w_plus_inv(lam)
     return tuple((lam[i], n + 1 - (i + 1) - inv[i]) for i in range(n))
-
-
-class SpectralData(NamedTuple):
-    two_rho: tuple
-    w_plus: tuple
-    w_plus_inv: tuple
-    eigen: tuple  # of (q_exp, t_exp)
-
-
-def spectral_data(lam):
-    return SpectralData(rho_of(lam), w_plus(lam), w_plus_inv(lam),
-                        eigen_exponents(lam))
 
 
 def raising_word(lam):

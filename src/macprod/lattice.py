@@ -133,11 +133,6 @@ class OpMatrix:
         return self.map_terms(
             lambda t: OpTerm(t.ydeg, t.xdeg, t.scalar, t.factors))
 
-    def scale_x_by_q(self):
-        return self.map_terms(
-            lambda t: OpTerm(t.xdeg, t.ydeg,
-                             t.scalar * QTRat.monomial(qe=t.xdeg), t.factors))
-
     def slots(self):
         out = set()
         for e in self.entries.values():

@@ -179,13 +179,14 @@ def _compute_f(lam, r):
 
 
 def compute_f(lam, r=None):
-    """The basis polynomial f_lam, monic at x^lam."""
+    """The basis polynomial f_lam, monic at x^lam; the caller owns the
+    returned polynomial (the cache keeps its own)."""
     lam = check_composition(lam)
     if r is None:
         r = max(lam) if lam else 0
     if lam and max(lam) > r:
         raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
-    return _compute_f(lam, r)
+    return _compute_f(lam, r).copy()
 
 
 def transition(lam, mu, r=None):

@@ -10,15 +10,18 @@ The formal half-integer parameter that shifts t-exponents by multiples of
 a symbol u never appears here: a power t^(a + b*u) is stored as the
 monomial q^b t^a, i.e. t^u is identified with q.
 
-Two routes lead to the canonical form.  General QTRat arithmetic (Hecke
-operators, the oracle RREF, specialization) reduces after every operation
-with a bivariate primitive-PRS gcd.  The configuration sums behind f_lam
-and P_lam, and the oscillator traces they multiply, use Factored values
-instead (the last section): every denominator there is a product of
-binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
-in advance.  Sums then run over the lcm of the factor multisets, and one
-trial division per listed factor reduces the result, so that path takes
-no gcd at all.  Both routes give the same unique reduced pair.
+Three routes lead to the canonical form.  General QTRat arithmetic (the
+oracle RREF, the recursion prefactor, specialization) reduces after every
+operation with a bivariate primitive-PRS gcd.  The configuration sums
+behind f_lam and P_lam, and the oscillator traces they multiply, use
+Factored values instead (the last section): every denominator there is a
+product of binomials 1 - q^A t^B, whose irreducible factors
+Phi_d(q^a t^b) are known in advance.  Sums then run over the lcm of the
+factor multisets, and one trial division per listed factor reduces the
+result, so that path takes no gcd at all.  The Hecke operators (xpoly)
+run on Laurent numerators over one common denominator and come back
+through laurent_ratio, one gcd per coefficient.  All routes give the same
+unique reduced pair.
 """
 
 from __future__ import annotations
@@ -646,6 +649,51 @@ def _reduce_pair(num, den):
     if den.leading()[1] < 0:
         num, den = -num, -den
     return num, den
+
+
+def _dict_lcm(a: dict, b: dict) -> dict:
+    """A least common multiple in Z[q, t], up to sign."""
+    if a == b:
+        return a
+    return _dict_mul(a, _dict_divexact(b, _dict_gcd(a, b)))
+
+
+def clear_denominators(values):
+    """(D, nums) for a sequence of QTRat values: D is the lcm of their
+    denominators and nums[k] = D * values[k] as a polynomial dict.  Takes
+    one gcd per distinct denominator."""
+    values = list(values)
+    keys = [frozenset(c.den.d.items()) for c in values]
+    dens = {k: c.den.d for k, c in zip(keys, values)}
+    D = _ONE_D
+    for d in dens.values():
+        D = _dict_lcm(D, d)
+    cof = {k: _dict_divexact(D, d) for k, d in dens.items()}
+    nums = [c.num.d if cof[k] == _ONE_D else _dict_mul(c.num.d, cof[k])
+            for c, k in zip(values, keys)]
+    return D, nums
+
+
+def laurent_ratio(num: dict, den: dict) -> QTRat:
+    """The canonical QTRat num/den for Laurent dicts over Z[q^+-1, t^+-1]:
+    both sides are shifted to polynomials without monomial content, the
+    monomial quotient goes to whichever side keeps nonnegative exponents,
+    and one gcd reduces the pair."""
+    if not den:
+        raise DivisionByZero("zero Laurent denominator")
+    if not num:
+        return _ZERO
+    nq = min(k[0] for k in num)
+    nt = min(k[1] for k in num)
+    dq = min(k[0] for k in den)
+    dt = min(k[1] for k in den)
+    sq, st = nq - dq, nt - dt
+    nq -= max(sq, 0)
+    nt -= max(st, 0)
+    dq -= max(-sq, 0)
+    dt -= max(-st, 0)
+    return QTRat(QTPoly._raw({(a - nq, b - nt): v for (a, b), v in num.items()}),
+                 QTPoly._raw({(a - dq, b - dt): v for (a, b), v in den.items()}))
 
 
 _ZERO = QTRat(0)

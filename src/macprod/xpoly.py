@@ -5,17 +5,26 @@ The generator used everywhere is the integral form T~_i = t^(1/2) T_i:
     T~_i f = t f - (t x_i - x_{i+1}) (f - s_i f)/(x_i - x_{i+1}),
 
 which satisfies (T~_i - t)(T~_i + 1) = 0 and the braid relations, and the
-cyclic shift (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1}).  The divided
-difference is computed by exact synthetic division; a nonzero remainder
-is a bug, not a user error.
+cyclic shift (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1}).
+
+T~_i has coefficients in Z[t], its inverse in Z[t, 1/t], and the shift
+only multiplies by powers of q.  So the operators run on a
+denominator-cleared numerator (XNum): D f with coefficients in
+Z[q^+-1, t^+-1], D a common denominator of f's coefficients.  Clearing
+takes one gcd per distinct denominator, each operator is exact ring
+arithmetic applied monomial by monomial from closed forms, and the way
+back reduces each coefficient once.  The XPoly methods of the same names
+are wrappers around that one path.
 """
 
 from __future__ import annotations
 
-from .errors import (IndexOutOfRange, InternalNonDivisibility)
-from .qtfield import QTRat, specialize as _spec_rat
+from functools import lru_cache
 
-_T = QTRat.monomial(te=1)
+from .errors import IndexOutOfRange
+from .qtfield import (QTRat, _dict_mul, clear_denominators, laurent_ratio,
+                      specialize as _spec_rat)
+
 _ONE = QTRat(1)
 
 
@@ -38,6 +47,10 @@ class XPoly:
         p.n = n
         p.terms = terms
         return p
+
+    def copy(self):
+        """The same polynomial with its own terms dict."""
+        return XPoly._raw(self.n, dict(self.terms))
 
     @classmethod
     def zero(cls, n):
@@ -134,9 +147,6 @@ class XPoly:
         from .qtfield import zero
         return self.terms.get(tuple(exps), zero())
 
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, d=None):
         degs = {sum(e) for e in self.terms}
         if not degs:
@@ -170,65 +180,27 @@ class XPoly:
             out[tuple(f)] = c
         return XPoly._raw(self.n, out)
 
+    def numerator(self):
+        """D f as an XNum, D the lcm of the coefficient denominators: one
+        gcd per distinct denominator, none per coefficient."""
+        D, nums = clear_denominators(self.terms.values())
+        return XNum(self.n, dict(zip(self.terms, nums)), D)
+
     def divided_difference(self, i):
-        """(f - s_i f)/(x_i - x_{i+1}); division is exact by symmetry."""
-        diff = self - self.apply_s(i)
-        if not diff.terms:
-            return XPoly.zero(self.n)
-        k = i - 1
-        buckets = {}
-        for e, c in diff.terms.items():
-            buckets.setdefault(e[k], {})[e] = c
-        quot = {}
-        for d in range(max(buckets), 0, -1):
-            for e, c in buckets.get(d, {}).items():
-                if not c:
-                    continue
-                qe = list(e)
-                qe[k] -= 1
-                qe = tuple(qe)
-                nv = quot.get(qe)
-                nv = c if nv is None else nv + c
-                if nv:
-                    quot[qe] = nv
-                else:
-                    del quot[qe]
-                re = list(qe)
-                re[k + 1] += 1
-                re = tuple(re)
-                lower = buckets.setdefault(d - 1, {})
-                lv = lower.get(re)
-                lower[re] = c if lv is None else lv + c
-        for c in buckets.get(0, {}).values():
-            if c:
-                raise InternalNonDivisibility(
-                    "remainder after dividing by x_%d - x_%d" % (i, i + 1))
-        return XPoly._raw(self.n, quot)
+        """(f - s_i f)/(x_i - x_{i+1})."""
+        return self.numerator().divided_difference(i).reduce()
 
     def demazure_T(self, i):
         """T~_i f = t f - (t x_i - x_{i+1}) (f - s_i f)/(x_i - x_{i+1})."""
-        dd = self.divided_difference(i)
-        if not dd.terms:
-            return self.scale(_T)
-        ei = [0] * self.n
-        ei[i - 1] = 1
-        ej = [0] * self.n
-        ej[i] = 1
-        fac = XPoly._raw(self.n, {tuple(ei): _T, tuple(ej): -_ONE})
-        return self.scale(_T) - fac * dd
+        return self.numerator().demazure_T(i).reduce()
 
     def demazure_T_inv(self, i):
         """T~_i^{-1} f = (T~_i f - (t - 1) f)/t."""
-        tm1 = _T - _ONE
-        return (self.demazure_T(i) - self.scale(tm1)).scale(_T.inverse())
+        return self.numerator().demazure_T_inv(i).reduce()
 
     def shift_omega(self):
-        """f(x) -> f(q x_n, x_1, .., x_{n-1}): rotate exponents, pay q^(e_1)."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[1:] + (e[0],)
-            out[k] = c * QTRat.monomial(qe=e[0]) if e[0] else c
-        return XPoly._raw(self.n, out)
+        """f(x) -> f(q x_n, x_1, .., x_{n-1})."""
+        return self.numerator().shift_omega().reduce()
 
     def is_symmetric(self):
         return all(self.apply_s(i) == self for i in range(1, self.n))
@@ -326,3 +298,144 @@ class XPoly:
                     cl = r"\left(%s\right)" % cl
                 chunks.append(f"{cl}\\, {mono}")
         return " + ".join(chunks)
+
+
+#### denominator-cleared numerators
+#
+# One operator sends x_i^a x_{i+1}^b to a short sum over the exponent pairs
+# on the segment from (a, b) to (b, a), with coefficients in Z[t, 1/t].
+# Writing d = |a - b|, (hi, lo) = (max, min) and I for the interior points
+# (hi - j, lo + j), 0 < j < d, the closed forms are
+#
+#   divided difference   a > b:  sum over (a - 1 - j, b + j), 0 <= j < d
+#                        a < b:  minus the same sum with a and b swapped
+#   T~_i                 a > b:  x^(b,a) + (1 - t) I
+#                        a < b:  t x^(b,a) + (t - 1) (I + x^(a,b))
+#   T~_i^{-1}            a > b:  x^(b,a)/t + (1/t - 1) (I + x^(a,b))
+#                        a < b:  x^(b,a) + (1 - 1/t) I
+#
+# and on a = b the divided difference vanishes, T~_i acts by t and its
+# inverse by 1/t.  The T~ forms follow from the definition above; the
+# inverse ones from T~^{-1} = (T~ - (t - 1))/t.
+
+@lru_cache(maxsize=None)
+def _image(kind, a, b):
+    """Image of x_i^a x_{i+1}^b as ((a', b'), ((t_exp, c), ..)) pairs: the
+    monomial x_i^a' x_{i+1}^b' times sum c t^t_exp."""
+    if a == b:
+        return {"dd": (), "T": (((a, b), ((1, 1),)),),
+                "Tinv": (((a, b), ((-1, 1),)),)}[kind]
+    hi, lo = max(a, b), min(a, b)
+    inner = [(hi - j, lo + j) for j in range(1, hi - lo)]
+    if kind == "dd":
+        sign = 1 if a > b else -1
+        return tuple(((hi - 1 - j, lo + j), ((0, sign),))
+                     for j in range(hi - lo))
+    t_min_1, one_min_t = ((1, 1), (0, -1)), ((0, 1), (1, -1))
+    inv_min_1, one_min_inv = ((-1, 1), (0, -1)), ((0, 1), (-1, -1))
+    if kind == "T" and a > b:
+        out = [((b, a), ((0, 1),))] + [(e, one_min_t) for e in inner]
+    elif kind == "T":
+        out = [((b, a), ((1, 1),))] + [(e, t_min_1) for e in inner + [(a, b)]]
+    elif a > b:
+        out = [((b, a), ((-1, 1),))] + [(e, inv_min_1) for e in inner + [(a, b)]]
+    else:
+        out = [((b, a), ((0, 1),))] + [(e, one_min_inv) for e in inner]
+    return tuple(out)
+
+
+class XNum:
+    """D f for an XPoly f and a nonzero D: terms maps exponent tuples to
+    nonzero Laurent dicts over Z[q^+-1, t^+-1], den is D as a Laurent dict.
+    Coefficient dicts are shared between values and never mutated.
+
+    Equality is equality of the values f, so two numerators over different
+    denominators compare by cross-multiplication."""
+
+    __slots__ = ("n", "terms", "den")
+
+    def __init__(self, n, terms, den):
+        self.n = n
+        self.terms = terms
+        self.den = den
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, XNum) or self.n != other.n:
+            return False
+        if self.den == other.den:
+            return self.terms == other.terms
+        return self.times(other.den).terms == other.times(self.den).terms
+
+    def __add__(self, other):
+        if self.n != other.n:
+            raise IndexOutOfRange(f"mixed variable counts {self.n} and {other.n}")
+        a, b = self, other
+        if a.den != b.den:
+            a, b = a.times(b.den), b.times(a.den)
+        out = {e: dict(c) for e, c in a.terms.items()}
+        for e, c in b.terms.items():
+            acc = out.setdefault(e, {})
+            for k, v in c.items():
+                nv = acc.get(k, 0) + v
+                if nv:
+                    acc[k] = nv
+                else:
+                    del acc[k]
+        return XNum(self.n, {e: c for e, c in out.items() if c}, a.den)
+
+    def times(self, m):
+        """Every coefficient times the Laurent dict m; den is kept, so the
+        value is multiplied by m."""
+        out = {}
+        for e, c in self.terms.items():
+            p = _dict_mul(c, m)
+            if p:
+                out[e] = p
+        return XNum(self.n, out, self.den)
+
+    def _apply(self, kind, i):
+        if not 1 <= i <= self.n - 1:
+            raise IndexOutOfRange(f"s_{i} out of range for n={self.n}")
+        k = i - 1
+        out = {}
+        for e, c in self.terms.items():
+            head, tail = e[:k], e[k + 2:]
+            for (a, b), row in _image(kind, e[k], e[k + 1]):
+                key = head + (a, b) + tail
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                for s, m in row:
+                    for (qe, te), v in c.items():
+                        kk = (qe, te + s)
+                        nv = acc.get(kk, 0) + m * v
+                        if nv:
+                            acc[kk] = nv
+                        else:
+                            del acc[kk]
+        return XNum(self.n, {e: c for e, c in out.items() if c}, self.den)
+
+    def divided_difference(self, i):
+        return self._apply("dd", i)
+
+    def demazure_T(self, i):
+        return self._apply("T", i)
+
+    def demazure_T_inv(self, i):
+        return self._apply("Tinv", i)
+
+    def shift_omega(self):
+        """Rotate exponents and pay q^(e_1)."""
+        out = {}
+        for e, c in self.terms.items():
+            out[e[1:] + (e[0],)] = \
+                {(qe + e[0], te): v for (qe, te), v in c.items()} if e[0] else c
+        return XNum(self.n, out, self.den)
+
+    def reduce(self):
+        """The XPoly value, each coefficient reduced once."""
+        return XPoly._raw(self.n, {e: laurent_ratio(c, self.den)
+                                   for e, c in self.terms.items()})

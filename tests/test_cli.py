@@ -4,7 +4,10 @@ Everything goes through main(argv) so the exit codes the contract promises
 (0 ok, 1 failed verification, 2 usage, 3 internal) are what is asserted.
 """
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 from macprod import hecke, matprod
 from macprod.cli import main
@@ -135,3 +138,19 @@ def test_trace_verb(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "compute" in capsys.readouterr().out
+
+
+def test_raising_golden_outputs():
+    # every job of the benchmark's raising pool, byte for byte
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "raising.json"
+    with open(path, encoding="utf-8") as fh:
+        jobs = json.load(fh)["jobs"]
+    assert jobs
+    bad = []
+    for job, want in jobs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(job.split())
+        if code != want["exit"] or out.getvalue() != want["stdout"]:
+            bad.append(job)
+    assert bad == []

@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
+import qtrat_hecke as oracle
+
 from macprod.compositions import dominance_leq, eigen_exponents
 from macprod.errors import IndexOutOfRange, NotRaisable
-from macprod.hecke import (compute_E, eigen_check, murphy_apply, raise_E,
-                           triangular_expand, verify_qkz)
+from macprod.hecke import (_compute_E, compute_E, eigen_check, murphy_apply,
+                           raise_E, triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
@@ -146,3 +149,28 @@ def test_triangular_expand():
         assert dominance_leq(mu, lam)
         acc = acc + compute_f(mu, 2).scale(c)
     assert acc == compute_E(lam)
+
+
+def test_compute_E_result_is_owned_by_the_caller():
+    E = compute_E((1, 0))
+    E.terms.clear()
+    assert compute_E((1, 0)) == E10
+    compute_E((2, 0, 1)).terms.clear()
+    assert compute_E((2, 0, 1)).coeff_of((2, 0, 1)).is_one()
+
+
+def test_raising_covers_small_compositions():
+    # all 117 compositions with 2-4 parts in {0, 1, 2}: monic at x^lam, a
+    # Murphy eigenfunction by the QTRat check, and the chain memo agrees
+    # with a cold recomputation of the whole chain
+    lams = [lam for n in (2, 3, 4) for lam in product(range(3), repeat=n)]
+    assert len(lams) == 117
+    got = {}
+    for lam in lams:
+        E = compute_E(lam)
+        assert E.coeff_of(lam).is_one()
+        assert oracle.eigen_check(lam, E)
+        got[lam] = E
+    for lam in lams:
+        _compute_E.cache_clear()
+        assert compute_E(lam) == got[lam]

@@ -128,3 +128,10 @@ def test_generating_identity():
     assert verify_generating(2, 2)
     gt = generating_trace(1, 2)
     assert set(gt) == {(0, 0), (1, 0), (1, 1)}
+
+
+def test_compute_f_result_is_owned_by_the_caller():
+    f = compute_f((0, 1))
+    want = dict(f.terms)
+    f.terms.clear()
+    assert compute_f((0, 1)).terms == want
