@@ -121,7 +121,7 @@ def cmd_compute(args):
 def cmd_verify(args):
     target = args.target
     if target in ("yba", "rll", "zf", "twist"):
-        ranks = [args.rank] if args.rank else [1, 2, 3]
+        ranks = [args.rank] if args.rank is not None else [1, 2, 3]
         ok = True
         for r in ranks:
             miss = lattice.intertwining_mismatch(target, r, args.cutoff)

@@ -9,7 +9,13 @@ an ordered word, leftmost applied last, exactly as in the trace engine.
 The rational R-matrix entries b+- = t(x-y)/(tx-y), (x-y)/(tx-y) and
 c+- = y(t-1)/(tx-y), x(t-1)/(tx-y) are stored cleared of the common
 denominator (tx-y), so every verification below is polynomial identity
-checking in x, y over Q(q, t) against truncated Fock states.
+checking in x, y against truncated Fock states.
+
+Every scalar here lies in Z[q^+-1, t^+-1]: the R entries are t, -1 and
+t - 1, the twist contributes powers of q, and the Fock action only
+multiplies by 1 - t^m and monomials.  Scalars are therefore Laurent dicts
+{(q_exp, t_exp): int}, as in xpoly.XNum, and the whole evaluation and
+comparison runs on integer arithmetic with no division and no gcd.
 """
 
 from __future__ import annotations
@@ -17,25 +23,37 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .errors import CutoffTooSmall, IndexOutOfRange
+from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
 from .oscillator import LOWER, RAISE, kpow, walk
-from .qtfield import QTRat, one, zero
+from .qtfield import QTRat, _dict_iadd, _dict_mul
 
 _T = QTRat.monomial(te=1)
-_ONE = one()
+_T_MINUS_1 = _T - 1
 
 
 class OpTerm(NamedTuple):
     xdeg: int
     ydeg: int
-    scalar: QTRat
+    scalar: dict    # Laurent dict {(q_exp, t_exp): int}, never mutated
     factors: tuple  # sorted ((space, family), atoms) pairs
 
 
-def term(scalar=None, xdeg=0, ydeg=0, factors=()):
-    s = _ONE if scalar is None else (QTRat(scalar) if isinstance(scalar, int) else scalar)
-    return OpTerm(xdeg, ydeg, s, tuple(sorted((slot, tuple(atoms))
-                                              for slot, atoms in factors if atoms)))
+def _laurent(c):
+    """An int, or a QTRat whose denominator is a single monic monomial,
+    as a Laurent dict."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return {(0, 0): c} if c else {}
+    if isinstance(c, QTRat) and len(c.den.d) == 1:
+        ((dq, dt), dv), = c.den.d.items()
+        if dv == 1:
+            return {(a - dq, b - dt): v for (a, b), v in c.num.d.items()}
+    raise InternalError(f"lattice scalar {c!r} is not a Laurent polynomial")
+
+
+def term(scalar=1, xdeg=0, ydeg=0, factors=()):
+    return OpTerm(xdeg, ydeg, _laurent(scalar),
+                  tuple(sorted((slot, tuple(atoms))
+                               for slot, atoms in factors if atoms)))
 
 
 def term_mul(t1, t2):
@@ -50,32 +68,34 @@ def term_mul(t1, t2):
             merged[slot] = merged.get(slot, ()) + atoms
         factors = tuple(sorted(merged.items()))
     return OpTerm(t1.xdeg + t2.xdeg, t1.ydeg + t2.ydeg,
-                  t1.scalar * t2.scalar, factors)
+                  _dict_mul(t1.scalar, t2.scalar), factors)
+
+
+def _collect(terms):
+    """Merge terms with equal (xdeg, ydeg, factors); drop zero scalars."""
+    acc = {}
+    for t in terms:
+        key = (t.xdeg, t.ydeg, t.factors)
+        cur = acc.get(key)
+        if cur is None:
+            acc[key] = dict(t.scalar)
+        else:
+            _dict_iadd(cur, t.scalar)
+    return tuple(OpTerm(x, y, s, f) for (x, y, f), s in acc.items() if s)
 
 
 def entry_add(*entries):
-    acc = {}
-    for e in entries:
-        for t in e:
-            key = (t.xdeg, t.ydeg, t.factors)
-            cur = acc.get(key)
-            acc[key] = t.scalar if cur is None else cur + t.scalar
-    return tuple(OpTerm(x, y, s, f) for (x, y, f), s in acc.items() if s)
+    return _collect(t for e in entries for t in e)
 
 
 def entry_mul(e1, e2):
-    acc = {}
-    for t1 in e1:
-        for t2 in e2:
-            t = term_mul(t1, t2)
-            key = (t.xdeg, t.ydeg, t.factors)
-            cur = acc.get(key)
-            acc[key] = t.scalar if cur is None else cur + t.scalar
-    return tuple(OpTerm(x, y, s, f) for (x, y, f), s in acc.items() if s)
+    return _collect(term_mul(t1, t2) for t1 in e1 for t2 in e2)
 
 
 def entry_scale(e, c):
-    return tuple(OpTerm(t.xdeg, t.ydeg, t.scalar * c, t.factors) for t in e)
+    c = _laurent(c)
+    return tuple(OpTerm(t.xdeg, t.ydeg, _dict_mul(t.scalar, c), t.factors)
+                 for t in e)
 
 
 class OpMatrix:
@@ -160,8 +180,8 @@ def build_R(r):
     diag = (term(_T, xdeg=1), term(-1, ydeg=1))          # t x - y
     b_plus = (term(_T, xdeg=1), term(-_T, ydeg=1))       # t (x - y)
     b_minus = (term(xdeg=1), term(-1, ydeg=1))           # x - y
-    c_plus = (term(_T - 1, ydeg=1),)                     # y (t - 1)
-    c_minus = (term(_T - 1, xdeg=1),)                    # x (t - 1)
+    c_plus = (term(_T_MINUS_1, ydeg=1),)                 # y (t - 1)
+    c_minus = (term(_T_MINUS_1, xdeg=1),)                # x (t - 1)
     for i in range(w):
         m.set(_pair(i, i, w), _pair(i, i, w), diag)
         for j in range(i + 1, w):
@@ -275,38 +295,34 @@ def twist_term(r, space=None):
 def eval_entry(entry, slot_index, state, cutoff):
     """Matrix elements of a formal entry on |state>.
 
-    Returns {out_state: {(xdeg, ydeg): QTRat}} keyed by occupation tuples
-    aligned with slot_index (a dict slot -> position)."""
+    Returns {out_state: {(xdeg, ydeg, q_exp, t_exp): int}}, the nonzero
+    coefficients of x^xdeg y^ydeg q^q_exp t^t_exp in <out_state|entry|state>,
+    keyed by occupation tuples aligned with slot_index (a dict slot ->
+    position)."""
     out = {}
     for t in entry:
         occ = list(state)
         fac = t.scalar
-        dead = False
         for slot, atoms in t.factors:
             i = slot_index[slot]
-            h, f = walk(atoms, occ[i], cutoff=cutoff)
-            if h is None or not f:
-                dead = True
+            h, f = walk(atoms, occ[i], cutoff)
+            if h is None:
                 break
-            fac = fac * f
+            fac = _dict_mul(fac, f)
             occ[i] = h
-        if dead or not fac:
-            continue
-        key = tuple(occ)
-        bucket = out.setdefault(key, {})
-        xy = (t.xdeg, t.ydeg)
-        cur = bucket.get(xy)
-        nv = fac if cur is None else cur + fac
-        if nv:
-            bucket[xy] = nv
         else:
-            del bucket[xy]
+            _dict_iadd(out.setdefault(tuple(occ), {}),
+                       {(t.xdeg, t.ydeg, qe, te): v for (qe, te), v in fac.items()})
     return {k: v for k, v in out.items() if v}
 
 
 def matrices_first_mismatch(m1, m2, cutoff):
     """First disagreeing matrix element over all input states with
-    occupations <= cutoff-2, as (position, slots, state), or None."""
+    occupations <= cutoff-2, as (position, slots, state), or None.
+
+    Evaluation is linear in the entry, so each position evaluates the
+    formal difference of the two entries once: it vanishes on a state
+    exactly when both sides agree there."""
     if cutoff < 2:
         raise CutoffTooSmall("need cutoff >= 2 for the comparison margin")
     if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
@@ -315,10 +331,11 @@ def matrices_first_mismatch(m1, m2, cutoff):
     slot_index = {s: i for i, s in enumerate(slots)}
     states = list(product(range(cutoff - 1), repeat=len(slots)))
     for pos in sorted(set(m1.entries) | set(m2.entries)):
-        e1, e2 = m1.entry(*pos), m2.entry(*pos)
+        diff = entry_add(m1.entry(*pos), entry_scale(m2.entry(*pos), -1))
+        if not diff:
+            continue
         for st in states:
-            if eval_entry(e1, slot_index, st, cutoff) != \
-                    eval_entry(e2, slot_index, st, cutoff):
+            if eval_entry(diff, slot_index, st, cutoff):
                 return (pos, tuple(slots), st)
     return None
 
@@ -373,14 +390,13 @@ def intertwining_sides(kind, r):
         S = (twist_term(r),)
         lhs = OpMatrix(r + 1, 1)
         rhs = OpMatrix(r + 1, 1)
-        qpow = _ONE
         for i, e in enumerate(comps):
             shifted = tuple(OpTerm(t.xdeg, t.ydeg,
-                                   t.scalar * QTRat.monomial(qe=t.xdeg),
+                                   {(qe + t.xdeg, te): v
+                                    for (qe, te), v in t.scalar.items()},
                                    t.factors) for t in e)
             lhs.set(i, 0, entry_mul(S, shifted))
-            rhs.set(i, 0, entry_scale(entry_mul(e, S), qpow))
-            qpow = qpow * QTRat.monomial(qe=1)
+            rhs.set(i, 0, entry_scale(entry_mul(e, S), QTRat.monomial(qe=i)))
         return lhs, rhs
     raise ValueError(f"unknown intertwining kind {kind!r}")
 

@@ -15,11 +15,16 @@ without case analysis.
 
 from __future__ import annotations
 
-from .errors import CutoffTooSmall, DivergentTrace, NotDyck
-from .qtfield import Factored, QTRat, one, zero
+from functools import lru_cache
+from types import MappingProxyType
+
+from .errors import DivergentTrace, NotDyck
+from .qtfield import Factored, QTRat, _dict_mul, zero
 
 LOWER = ("a",)
 RAISE = ("A",)
+
+_NO_FACTOR = MappingProxyType({})
 
 
 def kpow(te=1, qe=0):
@@ -69,31 +74,36 @@ def is_balanced(word):
     return net_change(word) == 0
 
 
+@lru_cache(maxsize=1 << 14)
 def walk(word, m, cutoff=None):
-    """Apply the word to |m>; return (m_out, QTRat factor).
+    """Apply the word (a tuple of atoms) to |m>; return (m_out, factor).
 
-    With a cutoff M the top state is killed by the raise atom
-    (A|M> = 0), matching the truncated matrix representation; the
-    output is then (None, 0).
+    The factor is a read-only Laurent dict {(q_exp, t_exp): int}: each
+    lower at height h contributes (1 - t^h) and each kpow(p, c) the
+    monomial t^(p h) q^(c h), so no division ever occurs.  With a cutoff
+    M the top state is killed by the raise atom (A|M> = 0), matching the
+    truncated matrix representation; the output is then (None, {}).
+    Results are memoised per (word, m, cutoff).
     """
     h = m
-    factor = one()
+    factor = {(0, 0): 1}
     for atom in reversed(word):
         tag = atom[0]
         if tag == "A":
             if cutoff is not None and h >= cutoff:
-                return None, zero()
+                return None, _NO_FACTOR
             h += 1
         elif tag == "a":
             if h == 0:
-                return None, zero()
-            factor = factor * (1 - QTRat.monomial(te=h))
+                return None, _NO_FACTOR
+            factor = _dict_mul(factor, {(0, 0): 1, (0, h): -1})
             h -= 1
         else:
             _, te, qe = atom
             if te * h or qe * h:
-                factor = factor * QTRat.monomial(qe=qe * h, te=te * h)
-    return h, factor
+                factor = {(a + qe * h, b + te * h): v
+                          for (a, b), v in factor.items()}
+    return h, MappingProxyType(factor)
 
 
 def _expand_lowers(heights):
@@ -150,74 +160,6 @@ def trace_factored(word):
 def trace_closed_form(word):
     """Sum_{m>=0} <m|word|m> as a closed-form QTRat (see trace_factored)."""
     return trace_factored(word).reduce()
-
-
-class FockMatrix:
-    """Dense (M+1) x (M+1) matrix of QTRat entries."""
-
-    __slots__ = ("size", "rows")
-
-    def __init__(self, size, rows=None):
-        self.size = size
-        self.rows = rows if rows is not None else \
-            [[zero()] * size for _ in range(size)]
-
-    @classmethod
-    def identity(cls, size):
-        m = cls(size)
-        for i in range(size):
-            m.rows[i][i] = one()
-        return m
-
-    def __mul__(self, other):
-        if isinstance(other, (QTRat, int)):
-            return FockMatrix(self.size,
-                              [[v * other for v in row] for row in self.rows])
-        out = FockMatrix(self.size)
-        for i in range(self.size):
-            arow = self.rows[i]
-            orow = out.rows[i]
-            for k in range(self.size):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = other.rows[k]
-                for j in range(self.size):
-                    if brow[j]:
-                        orow[j] = orow[j] + a * brow[j]
-        return out
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return FockMatrix(self.size, [[a + b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return FockMatrix(self.size, [[a - b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.rows, other.rows)])
-
-    def __eq__(self, other):
-        return (isinstance(other, FockMatrix) and self.size == other.size
-                and self.rows == other.rows)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-
-def fock_matrix(word, cutoff):
-    """Truncated matrix of a word (or single atom) on states 0..cutoff."""
-    if cutoff < 0:
-        raise CutoffTooSmall("cutoff must be >= 0")
-    if word and isinstance(word[0], str):
-        word = (word,)  # single atom
-    size = cutoff + 1
-    out = FockMatrix(size)
-    for m in range(size):
-        h, factor = walk(word, m, cutoff=cutoff)
-        if h is not None and factor:
-            out.rows[h][m] = out.rows[h][m] + factor
-    return out
 
 
 def dyck_map(word):
@@ -280,11 +222,3 @@ def psi_eval(mvec, x):
             raise DivergentTrace(f"pole at ratio x t^{k} = 1")
         total = total + num / den
     return total
-
-
-def delta_t_operator(prefix, m):
-    """Coefficientwise z^n -> (1 - t^n)^m z^(n+1) on a series prefix."""
-    out = [zero()]
-    for n, c in enumerate(prefix):
-        out.append(c * (1 - QTRat.monomial(te=n)) ** m)
-    return out

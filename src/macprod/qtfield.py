@@ -21,7 +21,9 @@ factor multisets, and one trial division per listed factor reduces the
 result, so that path takes no gcd at all.  The Hecke operators (xpoly)
 run on Laurent numerators over one common denominator and come back
 through laurent_ratio, one gcd per coefficient.  All routes give the same
-unique reduced pair.
+unique reduced pair.  The lattice exchange relations never leave
+Z[q^+-1, t^+-1] and work on the Laurent dicts alone (_dict_mul,
+_dict_iadd).
 """
 
 from __future__ import annotations
@@ -334,19 +336,7 @@ class QTPoly:
             if not other:
                 return QTPoly._raw({})
             return QTPoly._raw({k: v * other for k, v in self.d.items()})
-        a, b = self.d, other.d
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for (qa, ta), va in a.items():
-            for (qb, tb), vb in b.items():
-                k = (qa + qb, ta + tb)
-                nv = out.get(k, 0) + va * vb
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return QTPoly._raw(out)
+        return QTPoly._raw(_dict_mul(self.d, other.d))
 
     __rmul__ = __mul__
 
@@ -771,7 +761,19 @@ def _spec_poly(d, q, t):
 # yields the canonical QTRat.  Both steps are exact without any gcd.
 
 def _dict_mul(a: dict, b: dict) -> dict:
-    return (QTPoly._raw(a) * QTPoly._raw(b)).d
+    """Product of two Laurent dicts, as a new dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for (qa, ta), va in a.items():
+        for (qb, tb), vb in b.items():
+            k = (qa + qb, ta + tb)
+            nv = out.get(k, 0) + va * vb
+            if nv:
+                out[k] = nv
+            else:
+                del out[k]
+    return out
 
 
 def _dict_iadd(acc: dict, b: dict) -> dict:

@@ -90,6 +90,14 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "oracle", "--lambda", "1,1")[0] == 0
 
 
+def test_verify_lattice_rank_below_one_exits_2(capsys):
+    # rank 0 is an explicit rank, not "all ranks"
+    for rank in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "yba", "--rank", rank)
+        assert code == 2 and out == ""
+        assert "rank must be >= 1" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(hecke, "qkz_failures",
                         lambda lam: [((1, 0), "T_1 f != t f")])
@@ -140,9 +148,10 @@ def test_help_exits_0(capsys):
     assert "compute" in capsys.readouterr().out
 
 
-def test_raising_golden_outputs():
-    # every job of the benchmark's raising pool, byte for byte
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "raising.json"
+def golden_mismatches(workload):
+    """Jobs of a benchmark pool whose stdout or exit code differ from
+    perfbench/golden/<workload>.json."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / f"{workload}.json"
     with open(path, encoding="utf-8") as fh:
         jobs = json.load(fh)["jobs"]
     assert jobs
@@ -153,4 +162,14 @@ def test_raising_golden_outputs():
             code = main(job.split())
         if code != want["exit"] or out.getvalue() != want["stdout"]:
             bad.append(job)
-    assert bad == []
+    return bad
+
+
+def test_raising_golden_outputs():
+    # every job of the benchmark's raising pool, byte for byte
+    assert golden_mismatches("raising") == []
+
+
+def test_certify_golden_outputs():
+    # every job of the benchmark's certify pool, byte for byte
+    assert golden_mismatches("certify") == []

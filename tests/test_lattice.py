@@ -1,12 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macprod.errors import CutoffTooSmall
+import qtrat_fock as oracle
+from macprod import lattice
+from macprod.errors import CutoffTooSmall, InternalError
 from macprod.lattice import (OpMatrix, OpTerm, build_L, build_R, build_tildeL,
                              entry_add, entry_mul, entry_scale, eval_entry,
-                             matrices_equal_on_states, merge_family_one, term,
+                             intertwining_mismatch, intertwining_sides,
+                             matrices_equal_on_states,
+                             matrices_first_mismatch, merge_family_one, term,
                              twist_term, verify_intertwining, zf_components)
-from macprod.oscillator import LOWER, RAISE, fock_matrix, kpow
+from macprod.oscillator import LOWER, RAISE, kpow
 from macprod.qtfield import QTRat, one
+from qtrat_fock import fock_matrix, laurent
 
 T = QTRat.monomial(te=1)
 
@@ -116,14 +123,16 @@ def test_eval_entry_matches_fock_matrix():
     idx = {(0, 2): 0}
     for m in range(cutoff):
         got = eval_entry(e, idx, (m,), cutoff)
-        for mm in range(cutoff):
+        want = {}
+        for mm in range(cutoff + 1):
             v = dense.entry(mm, m)
             if v:
-                assert got[(mm,)][(0, 0)] == v
+                want[(mm,)] = {(0, 0) + k: c for k, c in laurent(v).items()}
+        assert got == want
     # scalar and degree bookkeeping
     e2 = (term(T, xdeg=2, ydeg=1, factors=[((0, 2), (RAISE,))]),)
     got = eval_entry(e2, idx, (1,), cutoff)
-    assert got == {(2,): {(2, 1): T}}
+    assert got == {(2,): {(2, 1, 0, 1): 1}}
 
 
 def test_intertwining_all_kinds():
@@ -163,3 +172,60 @@ def test_twist_term_layouts():
     assert single.factors == (((0, 2), (kpow(0, 1),)),
                               ((0, 3), (kpow(0, 2),)))
     assert twist_term(1).factors == ()
+
+
+def test_scalars_must_be_laurent():
+    assert term(QTRat.monomial(qe=2, te=-1, c=-3)).scalar == {(2, -1): -3}
+    assert term(0).scalar == {}
+    assert entry_scale((term(T),), 1 / T)[0].scalar == {(0, 0): 1}
+    for bad in (1 / (1 - T), QTRat.from_fraction(0.5), True):
+        with pytest.raises(InternalError):
+            term(bad)
+        with pytest.raises(InternalError):
+            entry_scale((term(),), bad)
+
+
+SLOTS = ((0, 2), (0, 3), (1, 2))
+words = st.lists(st.sampled_from([LOWER, RAISE, kpow(), kpow(0, 1), kpow(2, 1)]),
+                 max_size=4)
+laurents = st.dictionaries(st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+                           st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
+
+
+@st.composite
+def opterms(draw):
+    return term(oracle.qtrat(draw(laurents)), xdeg=draw(st.integers(0, 2)),
+                ydeg=draw(st.integers(0, 1)),
+                factors=[(s, draw(words)) for s in SLOTS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans(),
+       st.integers(1, 5), st.data())
+def test_eval_entry_matches_qtrat_oracle(entry, cancel, cutoff, data):
+    # the Laurent evaluator against Q(q, t) arithmetic, on random words,
+    # states and cutoffs; cancel appends -1 times the first term
+    if cancel:
+        entry = entry + list(entry_scale(entry[:1], -1))
+    idx = {s: i for i, s in enumerate(SLOTS)}
+    state = tuple(data.draw(st.integers(0, cutoff)) for _ in SLOTS)
+    want = oracle.flatten(oracle.eval_entry(entry, idx, state, cutoff))
+    assert eval_entry(entry, idx, state, cutoff) == want
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("kind", ["yba", "rll", "zf", "twist"])
+def test_mutation_located_as_by_oracle(kind, r, monkeypatch):
+    # multiply one term of one lhs entry by t: the fast comparator must
+    # report the same (position, slots, state) as the QTRat oracle
+    lhs, rhs = intertwining_sides(kind, r)
+    positions = sorted(lhs.entries)
+    pos = positions[len(positions) // 2]
+    e = lhs.entry(*pos)
+    bad = OpMatrix(lhs.nrows, lhs.ncols, lhs.entries)
+    bad.set(*pos, entry_scale(e[:1], T) + e[1:])
+    want = oracle.matrices_first_mismatch(bad, rhs, 4)
+    assert want is not None and want[0] == pos
+    assert matrices_first_mismatch(bad, rhs, 4) == want
+    monkeypatch.setattr(lattice, "intertwining_sides", lambda k, rank: (bad, rhs))
+    assert intertwining_mismatch(kind, r) == want

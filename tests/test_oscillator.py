@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import qtrat_fock as oracle
 from macprod.errors import DivergentTrace, NotDyck
-from macprod.oscillator import (LOWER, RAISE, FockMatrix, delta_t_operator,
-                                dyck_map, fock_matrix, kpow, parse_word,
+from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, parse_word,
                                 psi_eval, trace_closed_form, walk, word_str)
 from macprod.qtfield import QTRat, bracket, one, zero
+from qtrat_fock import FockMatrix, delta_t_operator, fock_matrix
 
 t = QTRat.monomial(te=1)
 q = QTRat.monomial(qe=1)
@@ -72,11 +73,34 @@ def test_trace_divergent():
 
 def test_walk_factors():
     h, f = walk((LOWER, RAISE), 2)
-    assert (h, f) == (2, 1 - t ** 3)
+    assert (h, f) == (2, {(0, 0): 1, (0, 3): -1})
     h, f = walk((LOWER,), 0)
-    assert h is None and f.is_zero()
+    assert h is None and not f
     h, f = walk((RAISE,), 4, cutoff=4)
-    assert h is None and f.is_zero()
+    assert h is None and not f
+    h, f = walk((kpow(2, 1), LOWER, kpow(0, 3)), 2)
+    assert (h, f) == (1, {(7, 2): 1, (7, 4): -1})
+
+
+def test_walk_matches_qtrat_oracle():
+    atoms = (LOWER, RAISE, kpow(), kpow(0, 1), kpow(2, 1))
+    rng = random.Random(7)
+    for _ in range(200):
+        word = tuple(rng.choice(atoms) for _ in range(rng.randrange(6)))
+        m = rng.randrange(5)
+        cutoff = rng.choice((None, 3, 4))
+        h, f = walk(word, m, cutoff)
+        oh, of = oracle.walk(word, m, cutoff)
+        assert h == oh
+        assert (not f) if h is None else f == oracle.laurent(of)
+
+
+def test_walk_cache_is_read_only():
+    word = (LOWER, kpow(1, 1))
+    h, f = walk(word, 3)
+    with pytest.raises(TypeError):
+        f[(0, 0)] = 5
+    assert walk(word, 3) == (h, f)
 
 
 def test_fock_matrix_relations():
