@@ -43,10 +43,10 @@ def _laurent(c):
     as a Laurent dict."""
     if isinstance(c, int) and not isinstance(c, bool):
         return {(0, 0): c} if c else {}
-    if isinstance(c, QTRat) and len(c.den.d) == 1:
-        ((dq, dt), dv), = c.den.d.items()
+    if isinstance(c, QTRat) and len(c.den) == 1:
+        ((dq, dt), dv), = c.den.items()
         if dv == 1:
-            return {(a - dq, b - dt): v for (a, b), v in c.num.d.items()}
+            return {(a - dq, b - dt): v for (a, b), v in c.num.items()}
     raise InternalError(f"lattice scalar {c!r} is not a Laurent polynomial")
 
 
@@ -239,32 +239,6 @@ def build_tildeL(r, space=0):
     return m
 
 
-def merge_family_one(mat, space=0):
-    """Substitute a_1 = a_1+ = 1, k_1 = 0 in the family-1 slot."""
-    out = OpMatrix(mat.nrows, mat.ncols)
-    for pos, e in mat.entries.items():
-        terms = []
-        for t in e:
-            dead = False
-            kept = []
-            for slot, atoms in t.factors:
-                if slot != (space, 1):
-                    kept.append((slot, atoms))
-                    continue
-                for atom in atoms:
-                    if atom[0] == "k" and atom[1] > 0:
-                        dead = True
-                        break
-                if dead:
-                    break
-            if not dead:
-                terms.append(OpTerm(t.xdeg, t.ydeg, t.scalar, tuple(kept)))
-        ne = entry_add(tuple(terms))
-        if ne:
-            out.entries[pos] = ne
-    return out
-
-
 def zf_components(r):
     """Nested column product: components A_0..A_r of tildeL^(r)...tildeL^(1),
     level j acting on space j."""
@@ -338,11 +312,6 @@ def matrices_first_mismatch(m1, m2, cutoff):
             if eval_entry(diff, slot_index, st, cutoff):
                 return (pos, tuple(slots), st)
     return None
-
-
-def matrices_equal_on_states(m1, m2, cutoff):
-    """Compare entrywise on all input states with occupations <= cutoff-2."""
-    return matrices_first_mismatch(m1, m2, cutoff) is None
 
 
 def _kron_prod(A, B):

@@ -70,10 +70,6 @@ def net_change(word):
     return sum(1 if a == RAISE else -1 if a == LOWER else 0 for a in word)
 
 
-def is_balanced(word):
-    return net_change(word) == 0
-
-
 @lru_cache(maxsize=1 << 14)
 def walk(word, m, cutoff=None):
     """Apply the word (a tuple of atoms) to |m>; return (m_out, factor).

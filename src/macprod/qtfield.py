@@ -1,29 +1,32 @@
 """Exact arithmetic in the coefficient field Q(q, t).
 
-Polynomials in q, t with integer coefficients are sparse dicts mapping
-(q_exp, t_exp) -> nonzero int.  Rational functions are stored reduced
-(gcd(num, den) = 1) with the denominator's leading coefficient positive
-under the lex order on (q_exp, t_exp), so equal values are structurally
-equal and JSON output is canonical.
+Polynomials in q, t with integer coefficients, and Laurent polynomials
+over Z[q^+-1, t^+-1], are plain sparse dicts mapping (q_exp, t_exp) ->
+nonzero int; a dict held by a value is never mutated.  A QTRat keeps two
+such dicts, num and den, in canonical form: polynomials with gcd(num,
+den) = 1 and the denominator's leading coefficient positive under the
+lex order on (q_exp, t_exp), so equal values are structurally equal and
+JSON output is canonical.
 
 The formal half-integer parameter that shifts t-exponents by multiples of
 a symbol u never appears here: a power t^(a + b*u) is stored as the
 monomial q^b t^a, i.e. t^u is identified with q.
 
-Three routes lead to the canonical form.  General QTRat arithmetic (the
-oracle RREF, the recursion prefactor, specialization) reduces after every
-operation with a bivariate primitive-PRS gcd.  The configuration sums
-behind f_lam and P_lam, and the oscillator traces they multiply, use
-Factored values instead (the last section): every denominator there is a
-product of binomials 1 - q^A t^B, whose irreducible factors
-Phi_d(q^a t^b) are known in advance.  Sums then run over the lcm of the
-factor multisets, and one trial division per listed factor reduces the
-result, so that path takes no gcd at all.  The Hecke operators (xpoly)
-run on Laurent numerators over one common denominator and come back
-through laurent_ratio, one gcd per coefficient.  All routes give the same
-unique reduced pair.  The lattice exchange relations never leave
-Z[q^+-1, t^+-1] and work on the Laurent dicts alone (_dict_mul,
-_dict_iadd).
+One function, _canonical, makes the reduced pair from a numerator and a
+denominator.  QTRat(num, den), QTRat.monomial, laurent_ratio and
+Factored.reduce all end in it; it takes a bivariate primitive-PRS gcd only
+when the pair is not known to be coprime.  QTRat arithmetic (the oracle
+RREF, the recursion prefactor, specialization) keeps its values reduced
+with gcds of the operands' parts.  The configuration sums behind f_lam and
+P_lam, and the oscillator traces they multiply, use Factored values
+instead (the last section): every denominator there is a product of
+binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
+in advance.  Sums then run over the lcm of the factor multisets, and one
+trial division per listed factor reduces the result, so that path takes
+no gcd at all.  The Hecke operators (xpoly) run on Laurent numerators over
+one common denominator and come back through laurent_ratio, one gcd per
+coefficient.  The lattice exchange relations never leave Z[q^+-1, t^+-1]
+and work on the Laurent dicts alone (_dict_mul, _dict_iadd).
 """
 
 from __future__ import annotations
@@ -177,75 +180,73 @@ def _bi_gcd(U, V):
 
 #### sparse dict layer
 
+_ONE_D = {(0, 0): 1}
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    """Product of two Laurent dicts, as a new dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for (qa, ta), va in a.items():
+        for (qb, tb), vb in b.items():
+            k = (qa + qb, ta + tb)
+            nv = out.get(k, 0) + va * vb
+            if nv:
+                out[k] = nv
+            else:
+                del out[k]
+    return out
+
+
+def _dict_iadd(acc: dict, b: dict) -> dict:
+    """acc += b in place."""
+    for k, v in b.items():
+        nv = acc.get(k, 0) + v
+        if nv:
+            acc[k] = nv
+        else:
+            del acc[k]
+    return acc
+
+
+def _dict_neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
 def _dict_gcd(a: dict, b: dict) -> dict:
     """gcd in Z[q, t], leading (lex) coefficient positive."""
     if not a or not b:
-        src = b if not a else a
-        if not src:
+        out = a or b
+        if not out:
             return {}
-        out = dict(src)
-        if out[max(out)] < 0:
-            out = {k: -v for k, v in out.items()}
-        return out
+        return _dict_neg(out) if out[max(out)] < 0 else dict(out)
     amq = min(k[0] for k in a)
     amt = min(k[1] for k in a)
     bmq = min(k[0] for k in b)
     bmt = min(k[1] for k in b)
     gq, gt = min(amq, bmq), min(amt, bmt)
-    A = {(k[0] - amq, k[1] - amt): v for k, v in a.items()}
-    B = {(k[0] - bmq, k[1] - bmt): v for k, v in b.items()}
-    ca = _uni_content(list(A.values()))
-    cb = _uni_content(list(B.values()))
+    ca = _uni_content(list(a.values()))
+    cb = _uni_content(list(b.values()))
     c = _igcd(ca, cb)
-    if len(A) == 1 or len(B) == 1:
+    if len(a) == 1 or len(b) == 1:
         return {(gq, gt): c}
-    A = {k: v // ca for k, v in A.items()}
-    B = {k: v // cb for k, v in B.items()}
-    aq = max(k[0] for k in A)
-    bq = max(k[0] for k in B)
-    if aq == 0 and bq == 0:
-        ta = [0] * (max(k[1] for k in A) + 1)
-        for k, v in A.items():
-            ta[k[1]] = v
-        tb = [0] * (max(k[1] for k in B) + 1)
-        for k, v in B.items():
-            tb[k[1]] = v
-        g = _uni_gcd(ta, tb)
-        out = {(gq, gt + i): c * v for i, v in enumerate(g) if v}
-        return out
-    at = max(k[1] for k in A)
-    bt = max(k[1] for k in B)
-    if at == 0 and bt == 0:
-        qa = [0] * (aq + 1)
-        for k, v in A.items():
-            qa[k[0]] = v
-        qb = [0] * (bq + 1)
-        for k, v in B.items():
-            qb[k[0]] = v
-        g = _uni_gcd(qa, qb)
-        return {(gq + i, gt): c * v for i, v in enumerate(g) if v}
-    UA = [[] for _ in range(aq + 1)]
-    for k, v in A.items():
-        col = UA[k[0]]
-        if len(col) <= k[1]:
-            col += [0] * (k[1] + 1 - len(col))
-        col[k[1]] = v
-    UB = [[] for _ in range(bq + 1)]
-    for k, v in B.items():
-        col = UB[k[0]]
-        if len(col) <= k[1]:
-            col += [0] * (k[1] + 1 - len(col))
-        col[k[1]] = v
-    G = _bi_gcd([_trim(x) for x in UA], [_trim(x) for x in UB])
-    out = {}
-    for i, col in enumerate(G):
-        for j, v in enumerate(col):
-            if v:
-                out[(gq + i, gt + j)] = c * v
-    lead = max(out)
-    if out[lead] < 0:
-        out = {k: -v for k, v in out.items()}
-    return out
+    G = _bi_gcd(_bi_dense(a, amq, amt, ca), _bi_dense(b, bmq, bmt, cb))
+    out = {(gq + i, gt + j): c * v
+           for i, col in enumerate(G) for j, v in enumerate(col) if v}
+    return _dict_neg(out) if out[max(out)] < 0 else out
+
+
+def _bi_dense(a, mq, mt, content):
+    """a / (content q^mq t^mt) as a list over q-degree of dense t-lists."""
+    U = [[] for _ in range(max(k[0] for k in a) - mq + 1)]
+    for (i, j), v in a.items():
+        col = U[i - mq]
+        j -= mt
+        if len(col) <= j:
+            col += [0] * (j + 1 - len(col))
+        col[j] = v // content
+    return U
 
 
 def _dict_divexact(a: dict, b: dict) -> dict:
@@ -275,142 +276,87 @@ def _dict_divexact(a: dict, b: dict) -> dict:
     return quot
 
 
-_ONE_D = {(0, 0): 1}
+def _dict_lcm(a: dict, b: dict) -> dict:
+    """A least common multiple in Z[q, t], up to sign."""
+    if a == b:
+        return a
+    return _dict_mul(a, _dict_divexact(b, _dict_gcd(a, b)))
 
 
-class QTPoly:
-    """Sparse polynomial in Z[q, t]; the dict is treated as frozen."""
+def _canonical(num: dict, den: dict, coprime=False):
+    """The canonical reduced pair (num, den) of Laurent dicts, den nonzero.
 
-    __slots__ = ("d",)
-
-    def __init__(self, d=None):
-        self.d = {k: v for k, v in d.items() if v} if d else {}
-
-    @classmethod
-    def _raw(cls, d):
-        p = object.__new__(cls)
-        p.d = d
-        return p
-
-    @classmethod
-    def const(cls, c):
-        return cls._raw({(0, 0): c} if c else {})
-
-    @classmethod
-    def mono(cls, qe, te, c=1):
-        if qe < 0 or te < 0:
-            raise ValueError("QTPoly exponents must be nonnegative")
-        return cls._raw({(qe, te): c} if c else {})
-
-    def __bool__(self):
-        return bool(self.d)
-
-    def __eq__(self, other):
-        return isinstance(other, QTPoly) and self.d == other.d
-
-    def __add__(self, other):
-        out = dict(self.d)
-        for k, v in other.d.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return QTPoly._raw(out)
-
-    def __sub__(self, other):
-        out = dict(self.d)
-        for k, v in other.d.items():
-            nv = out.get(k, 0) - v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return QTPoly._raw(out)
-
-    def __neg__(self):
-        return QTPoly._raw({k: -v for k, v in self.d.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return QTPoly._raw({})
-            return QTPoly._raw({k: v * other for k, v in self.d.items()})
-        return QTPoly._raw(_dict_mul(self.d, other.d))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a QTPoly")
-        out = QTPoly._raw({(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def leading(self):
-        k = max(self.d)
-        return k, self.d[k]
-
-    def is_one(self):
-        return self.d == _ONE_D
-
-    def triples(self):
-        return sorted([qe, te, c] for (qe, te), c in self.d.items())
-
-    def __repr__(self):
-        return f"QTPoly({_poly_str(self.d)})"
+    Both sides lose their monomial content and the monomial quotient goes
+    to whichever side keeps nonnegative exponents; a gcd cancels the rest
+    unless the caller knows the pair to be coprime; and the lex-leading
+    coefficient of den is made positive."""
+    if not num:
+        return {}, dict(_ONE_D)
+    nq = min(k[0] for k in num)
+    nt = min(k[1] for k in num)
+    dq = min(k[0] for k in den)
+    dt = min(k[1] for k in den)
+    sq, st = nq - dq, nt - dt
+    nq -= max(sq, 0)
+    nt -= max(st, 0)
+    dq -= max(-sq, 0)
+    dt -= max(-st, 0)
+    if nq or nt:
+        num = {(a - nq, b - nt): v for (a, b), v in num.items()}
+    if dq or dt:
+        den = {(a - dq, b - dt): v for (a, b), v in den.items()}
+    if not coprime:
+        g = _dict_gcd(num, den)
+        if g != _ONE_D:
+            num, den = _dict_divexact(num, g), _dict_divexact(den, g)
+    if den[max(den)] < 0:
+        num, den = _dict_neg(num), _dict_neg(den)
+    return num, den
 
 
-def _poly_str(d, q="q", t="t"):
+def _poly_format(d, latex=False):
+    """d in descending lex order: -q*t^2 + 3 as text, -qt^{2} + 3 as latex."""
     if not d:
         return "0"
+    pow_fmt, sep = ("%s^{%d}", "") if latex else ("%s^%d", "*")
     parts = []
-    for (qe, te) in sorted(d, reverse=True):
+    for qe, te in sorted(d, reverse=True):
         c = d[(qe, te)]
-        mono = []
-        if qe:
-            mono.append(q if qe == 1 else f"{q}^{qe}")
-        if te:
-            mono.append(t if te == 1 else f"{t}^{te}")
-        body = "*".join(mono)
+        body = sep.join(v if e == 1 else pow_fmt % (v, e)
+                        for v, e in (("q", qe), ("t", te)) if e)
         if not body:
-            s = str(c)
+            parts.append(str(c))
         elif c == 1:
-            s = body
+            parts.append(body)
         elif c == -1:
-            s = "-" + body
+            parts.append("-" + body)
         else:
-            s = f"{c}*{body}"
-        parts.append(s)
+            parts.append(f"{c}{sep}{body}")
     out = parts[0]
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
 
 
+def _as_dict(p):
+    """An int or a {(q_exp, t_exp): int} dict as a new dict of its nonzero
+    terms."""
+    if isinstance(p, int):
+        return {(0, 0): p} if p else {}
+    return {k: v for k, v in p.items() if v}
+
+
 class QTRat:
-    """Reduced rational function num/den in Q(q, t)."""
+    """Reduced rational function num/den in Q(q, t); num and den are
+    {(q_exp, t_exp): int} dicts, treated as frozen."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
-        if isinstance(num, int):
-            num = QTPoly.const(num)
-        if den is None:
-            den = QTPoly._raw(dict(_ONE_D))
-        elif isinstance(den, int):
-            den = QTPoly.const(den)
+    def __init__(self, num, den=1):
+        num, den = _as_dict(num), _as_dict(den)
         if not den:
             raise DivisionByZero("zero denominator")
-        if reduce:
-            num, den = _reduce_pair(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonical(num, den)
 
     @classmethod
     def _raw(cls, num, den):
@@ -422,79 +368,71 @@ class QTRat:
     @classmethod
     def monomial(cls, qe=0, te=0, c=1):
         """c * q^qe * t^te with exponents of either sign."""
-        if not c:
-            return cls._raw(QTPoly._raw({}), QTPoly._raw(dict(_ONE_D)))
-        nq, nt = max(qe, 0), max(te, 0)
-        dq, dt = max(-qe, 0), max(-te, 0)
-        if c < 0 or (dq, dt) != (0, 0):
-            num = QTPoly.mono(nq, nt, c)
-            den = QTPoly.mono(dq, dt, 1)
-            return cls._raw(num, den)
-        return cls._raw(QTPoly.mono(nq, nt, c), QTPoly._raw(dict(_ONE_D)))
+        return cls._raw(*_canonical({(qe, te): c} if c else {}, _ONE_D,
+                                    coprime=True))
 
     @classmethod
     def from_fraction(cls, f):
         f = Fraction(f)
-        return cls._raw(QTPoly.const(f.numerator), QTPoly.const(f.denominator))
+        return cls._raw(_as_dict(f.numerator), {(0, 0): f.denominator})
 
     def is_zero(self):
-        return not self.num.d
+        return not self.num
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.num == _ONE_D and self.den == _ONE_D
 
     def __bool__(self):
-        return bool(self.num.d)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = QTRat(other)
-        return (isinstance(other, QTRat) and self.num.d == other.num.d
-                and self.den.d == other.den.d)
+        return (isinstance(other, QTRat) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((frozenset(self.num.d.items()), frozenset(self.den.d.items())))
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __add__(self, other):
         if isinstance(other, int):
             other = QTRat(other)
         elif not isinstance(other, QTRat):
             return NotImplemented
-        if not self.num.d:
+        if not self.num:
             return other
-        if not other.num.d:
+        if not other.num:
             return self
         b, d = self.den, other.den
-        if b.d == d.d:
-            e = self.num + other.num
-            if not e.d:
+        if b == d:
+            e = _dict_iadd(dict(self.num), other.num)
+            if not e:
                 return _ZERO
-            g = _dict_gcd(e.d, b.d)
+            g = _dict_gcd(e, b)
             if g == _ONE_D:
-                return QTRat._raw(e, QTPoly._raw(dict(b.d)))
-            return QTRat._raw(QTPoly._raw(_dict_divexact(e.d, g)),
-                              QTPoly._raw(_dict_divexact(b.d, g)))
-        g = _dict_gcd(b.d, d.d)
+                return QTRat._raw(e, b)
+            return QTRat._raw(_dict_divexact(e, g), _dict_divexact(b, g))
+        g = _dict_gcd(b, d)
         if g == _ONE_D:
-            num = self.num * other.den + other.num * self.den
-            if not num.d:
+            e = _dict_iadd(_dict_mul(self.num, d), _dict_mul(other.num, b))
+            if not e:
                 return _ZERO
-            return QTRat._raw(num, b * d)
-        b0 = QTPoly._raw(_dict_divexact(b.d, g))
-        d0 = QTPoly._raw(_dict_divexact(d.d, g))
-        e = self.num * d0 + other.num * b0
-        if not e.d:
+            return QTRat._raw(e, _dict_mul(b, d))
+        b0 = _dict_divexact(b, g)
+        d0 = _dict_divexact(d, g)
+        e = _dict_iadd(_dict_mul(self.num, d0), _dict_mul(other.num, b0))
+        if not e:
             return _ZERO
-        h = _dict_gcd(e.d, g)
+        h = _dict_gcd(e, g)
         if h == _ONE_D:
-            return QTRat._raw(e, b0 * d)
-        return QTRat._raw(QTPoly._raw(_dict_divexact(e.d, h)),
-                          b0 * QTPoly._raw(_dict_divexact(d.d, h)))
+            return QTRat._raw(e, _dict_mul(b0, d))
+        return QTRat._raw(_dict_divexact(e, h),
+                          _dict_mul(b0, _dict_divexact(d, h)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QTRat._raw(-self.num, self.den)
+        return QTRat._raw(_dict_neg(self.num), self.den)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -511,28 +449,26 @@ class QTRat:
             other = QTRat(other)
         elif not isinstance(other, QTRat):
             return NotImplemented
-        if not self.num.d or not other.num.d:
+        if not self.num or not other.num:
             return _ZERO
         a, b = self.num, self.den
         c, d = other.num, other.den
-        g1 = _dict_gcd(a.d, d.d)
-        g2 = _dict_gcd(c.d, b.d)
+        g1 = _dict_gcd(a, d)
+        g2 = _dict_gcd(c, b)
         if g1 != _ONE_D:
-            a = QTPoly._raw(_dict_divexact(a.d, g1))
-            d = QTPoly._raw(_dict_divexact(d.d, g1))
+            a, d = _dict_divexact(a, g1), _dict_divexact(d, g1)
         if g2 != _ONE_D:
-            c = QTPoly._raw(_dict_divexact(c.d, g2))
-            b = QTPoly._raw(_dict_divexact(b.d, g2))
-        return QTRat._raw(a * c, b * d)
+            c, b = _dict_divexact(c, g2), _dict_divexact(b, g2)
+        return QTRat._raw(_dict_mul(a, c), _dict_mul(b, d))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.num.d:
+        if not self.num:
             raise DivisionByZero("inverse of zero")
         num, den = self.den, self.num
-        if den.leading()[1] < 0:
-            num, den = -num, -den
+        if den[max(den)] < 0:
+            num, den = _dict_neg(num), _dict_neg(den)
         return QTRat._raw(num, den)
 
     def __truediv__(self, other):
@@ -561,35 +497,30 @@ class QTRat:
 
     def as_fraction(self):
         """Value as a Fraction; requires a constant (no q, t left)."""
-        for k in self.num.d:
-            if k != (0, 0):
-                raise ValueError("not a constant")
-        for k in self.den.d:
-            if k != (0, 0):
-                raise ValueError("not a constant")
-        return Fraction(self.num.d.get((0, 0), 0), self.den.d[(0, 0)])
+        if any(k != (0, 0) for k in (*self.num, *self.den)):
+            raise ValueError("not a constant")
+        return Fraction(self.num.get((0, 0), 0), self.den[(0, 0)])
 
     def to_obj(self):
-        return {"num": self.num.triples(), "den": self.den.triples()}
+        return {"num": sorted([qe, te, c] for (qe, te), c in self.num.items()),
+                "den": sorted([qe, te, c] for (qe, te), c in self.den.items())}
 
     @classmethod
     def from_obj(cls, obj):
-        num = {}
-        for qe, te, c in obj["num"]:
-            num[(int(qe), int(te))] = int(c)
-        den = {}
-        for qe, te, c in obj["den"]:
-            den[(int(qe), int(te))] = int(c)
-        if not den:
+        """The canonical value of a {"num": triples, "den": triples} object:
+        zero terms are dropped and the pair is reduced."""
+        num = {(int(qe), int(te)): int(c) for qe, te, c in obj["num"]}
+        den = {(int(qe), int(te)): int(c) for qe, te, c in obj["den"]}
+        if not any(den.values()):
             raise DivisionByZero("zero denominator in serialized value")
-        return cls._raw(QTPoly._raw(num), QTPoly._raw(den))
+        return cls(num, den)
 
     def __str__(self):
-        if self.den.is_one():
-            return _poly_str(self.num.d)
-        ns = _poly_str(self.num.d)
-        ds = _poly_str(self.den.d)
-        if len(self.num.d) > 1:
+        ns = _poly_format(self.num)
+        if self.den == _ONE_D:
+            return ns
+        ds = _poly_format(self.den)
+        if len(self.num) > 1:
             ns = f"({ns})"
         if " " in ds or "*" in ds:
             ds = f"({ds})"
@@ -598,54 +529,10 @@ class QTRat:
     __repr__ = __str__
 
     def latex(self):
-        if self.den.is_one():
-            return _poly_latex(self.num.d)
-        return r"\frac{%s}{%s}" % (_poly_latex(self.num.d), _poly_latex(self.den.d))
-
-
-def _poly_latex(d):
-    if not d:
-        return "0"
-    parts = []
-    for (qe, te) in sorted(d, reverse=True):
-        c = d[(qe, te)]
-        mono = ""
-        if qe:
-            mono += "q" if qe == 1 else "q^{%d}" % qe
-        if te:
-            mono += "t" if te == 1 else "t^{%d}" % te
-        if not mono:
-            s = str(c)
-        elif c == 1:
-            s = mono
-        elif c == -1:
-            s = "-" + mono
-        else:
-            s = f"{c}{mono}"
-        parts.append(s)
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
-
-
-def _reduce_pair(num, den):
-    if not num.d:
-        return QTPoly._raw({}), QTPoly._raw(dict(_ONE_D))
-    g = _dict_gcd(num.d, den.d)
-    if g != _ONE_D:
-        num = QTPoly._raw(_dict_divexact(num.d, g))
-        den = QTPoly._raw(_dict_divexact(den.d, g))
-    if den.leading()[1] < 0:
-        num, den = -num, -den
-    return num, den
-
-
-def _dict_lcm(a: dict, b: dict) -> dict:
-    """A least common multiple in Z[q, t], up to sign."""
-    if a == b:
-        return a
-    return _dict_mul(a, _dict_divexact(b, _dict_gcd(a, b)))
+        ns = _poly_format(self.num, latex=True)
+        if self.den == _ONE_D:
+            return ns
+        return r"\frac{%s}{%s}" % (ns, _poly_format(self.den, latex=True))
 
 
 def clear_denominators(values):
@@ -653,37 +540,22 @@ def clear_denominators(values):
     denominators and nums[k] = D * values[k] as a polynomial dict.  Takes
     one gcd per distinct denominator."""
     values = list(values)
-    keys = [frozenset(c.den.d.items()) for c in values]
-    dens = {k: c.den.d for k, c in zip(keys, values)}
+    keys = [frozenset(c.den.items()) for c in values]
+    dens = {k: c.den for k, c in zip(keys, values)}
     D = _ONE_D
     for d in dens.values():
         D = _dict_lcm(D, d)
     cof = {k: _dict_divexact(D, d) for k, d in dens.items()}
-    nums = [c.num.d if cof[k] == _ONE_D else _dict_mul(c.num.d, cof[k])
+    nums = [c.num if cof[k] == _ONE_D else _dict_mul(c.num, cof[k])
             for c, k in zip(values, keys)]
     return D, nums
 
 
 def laurent_ratio(num: dict, den: dict) -> QTRat:
-    """The canonical QTRat num/den for Laurent dicts over Z[q^+-1, t^+-1]:
-    both sides are shifted to polynomials without monomial content, the
-    monomial quotient goes to whichever side keeps nonnegative exponents,
-    and one gcd reduces the pair."""
+    """The canonical QTRat num/den for Laurent dicts over Z[q^+-1, t^+-1]."""
     if not den:
         raise DivisionByZero("zero Laurent denominator")
-    if not num:
-        return _ZERO
-    nq = min(k[0] for k in num)
-    nt = min(k[1] for k in num)
-    dq = min(k[0] for k in den)
-    dt = min(k[1] for k in den)
-    sq, st = nq - dq, nt - dt
-    nq -= max(sq, 0)
-    nt -= max(st, 0)
-    dq -= max(-sq, 0)
-    dt -= max(-st, 0)
-    return QTRat(QTPoly._raw({(a - nq, b - nt): v for (a, b), v in num.items()}),
-                 QTPoly._raw({(a - dq, b - dt): v for (a, b), v in den.items()}))
+    return QTRat._raw(*_canonical(num, den))
 
 
 _ZERO = QTRat(0)
@@ -698,24 +570,17 @@ def one():
     return _ONE
 
 
-def bracket(m, c=0):
-    """(1 - q^c t^m)/(1 - t); the t-integer [m] when c = 0."""
-    if m < 0 or c < 0:
-        raise ValueError("bracket arguments must be nonnegative")
-    num = QTPoly._raw({(0, 0): 1}) - QTPoly.mono(c, m)
-    den = QTPoly._raw({(0, 0): 1, (0, 1): -1})
-    return QTRat(num, den)
-
-
 def specialize(r, q=None, t=None):
     """Substitute q and/or t in a QTRat.
 
     Each of q, t may be None (leave alone), an int/Fraction (numeric),
-    or the name of the other variable ("t" for q, "q" for t).  Raises
-    SpecializationPole when the reduced denominator vanishes.
+    or the name of the other variable ("t" for q, "q" for t); both
+    substitutions read the original exponents, so q="t", t="q" swaps the
+    variables.  Raises SpecializationPole when the reduced denominator
+    vanishes.
     """
-    num = _spec_poly(r.num.d, q, t)
-    den = _spec_poly(r.den.d, q, t)
+    num = _spec_poly(r.num, q, t)
+    den = _spec_poly(r.den, q, t)
     if den.is_zero():
         raise SpecializationPole(f"denominator vanishes under q={q!r}, t={t!r}")
     return num / den
@@ -724,25 +589,21 @@ def specialize(r, q=None, t=None):
 def _spec_poly(d, q, t):
     out = _ZERO
     for (qe, te), c in d.items():
+        nqe = nte = 0
+        scale = Fraction(c)
         if q is None:
-            nqe, scale_q = qe, None
+            nqe += qe
         elif q == "t":
-            nqe, scale_q = 0, None
-            te = te + qe
+            nte += qe
         else:
-            nqe, scale_q = 0, Fraction(q) ** qe
+            scale *= Fraction(q) ** qe
         if t is None:
-            nte, scale_t = te, None
+            nte += te
         elif t == "q":
-            nqe, nte, scale_t = nqe + te, 0, None
+            nqe += te
         else:
-            nte, scale_t = 0, Fraction(t) ** te
-        term = QTRat.monomial(nqe, nte, c)
-        if scale_q is not None:
-            term = term * QTRat.from_fraction(scale_q)
-        if scale_t is not None:
-            term = term * QTRat.from_fraction(scale_t)
-        out = out + term
+            scale *= Fraction(t) ** te
+        out = out + QTRat.monomial(nqe, nte) * QTRat.from_fraction(scale)
     return out
 
 
@@ -759,33 +620,6 @@ def _spec_poly(d, q, t):
 # denominator as a multiset of these factors: sums run over the lcm of the
 # multisets, and one reduction by trial division against the listed factors
 # yields the canonical QTRat.  Both steps are exact without any gcd.
-
-def _dict_mul(a: dict, b: dict) -> dict:
-    """Product of two Laurent dicts, as a new dict."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for (qa, ta), va in a.items():
-        for (qb, tb), vb in b.items():
-            k = (qa + qb, ta + tb)
-            nv = out.get(k, 0) + va * vb
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
-    return out
-
-
-def _dict_iadd(acc: dict, b: dict) -> dict:
-    """acc += b in place."""
-    for k, v in b.items():
-        nv = acc.get(k, 0) + v
-        if nv:
-            acc[k] = nv
-        else:
-            del acc[k]
-    return acc
-
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d):
@@ -923,19 +757,11 @@ class Factored:
         return Factored(num, tuple(den))
 
     def reduce(self):
-        """The canonical QTRat: cancel, strip the monomial content and put
-        the lex-leading coefficient of the denominator positive."""
+        """The canonical QTRat: cancel, then _canonical with no gcd, since
+        cancel leaves no listed factor dividing the numerator."""
         x = self.cancel()
-        if not x.num:
-            return _ZERO
-        dq = max(-min(k[0] for k in x.num), 0)
-        dt = max(-min(k[1] for k in x.num), 0)
-        num = {(qe + dq, te + dt): c for (qe, te), c in x.num.items()}
-        den = {(dq, dt): 1}
+        den = _ONE_D
         for f, m in x.den:
             for _ in range(m):
                 den = _dict_mul(den, _cyclotomic(f))
-        if den[max(den)] < 0:
-            num = {k: -v for k, v in num.items()}
-            den = {k: -v for k, v in den.items()}
-        return QTRat._raw(QTPoly._raw(num), QTPoly._raw(den))
+        return QTRat._raw(*_canonical(x.num, den, coprime=True))

@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import IndexOutOfRange
-from .qtfield import (QTRat, _dict_mul, clear_denominators, laurent_ratio,
-                      specialize as _spec_rat)
+from .qtfield import (_ONE_D, QTRat, _dict_mul, clear_denominators,
+                      laurent_ratio, specialize as _spec_rat)
 
 _ONE = QTRat(1)
 
@@ -254,7 +254,7 @@ class XPoly:
             if len(e) != n:
                 raise IndexOutOfRange("exponent length != n")
             terms[e] = QTRat.from_obj(entry["coef"])
-        return cls._raw(n, terms)
+        return cls(n, terms)
 
     def _mono_str(self, e, sep="*", pow_fmt="^%d", var="x%d"):
         parts = []
@@ -274,7 +274,7 @@ class XPoly:
                 chunks.append(cs)
             elif c.is_one():
                 chunks.append(mono)
-            elif len(c.num.d) > 1 and c.den.is_one():
+            elif len(c.num) > 1 and c.den == _ONE_D:
                 chunks.append(f"({cs})*{mono}")
             else:
                 chunks.append(f"{cs}*{mono}")
@@ -294,7 +294,7 @@ class XPoly:
                 chunks.append(mono)
             else:
                 cl = c.latex()
-                if len(c.num.d) > 1 and c.den.is_one():
+                if len(c.num) > 1 and c.den == _ONE_D:
                     cl = r"\left(%s\right)" % cl
                 chunks.append(f"{cl}\\, {mono}")
         return " + ".join(chunks)

@@ -126,9 +126,9 @@ def qtrat(laurent):
 
 def laurent(value):
     """A QTRat whose denominator is a monic monomial, as a Laurent dict."""
-    ((dq, dt), dv), = value.den.d.items()
+    ((dq, dt), dv), = value.den.items()
     assert dv == 1, value
-    return {(a - dq, b - dt): v for (a, b), v in value.num.d.items()}
+    return {(a - dq, b - dt): v for (a, b), v in value.num.items()}
 
 
 def eval_entry(entry, slot_index, state, cutoff):

@@ -65,6 +65,15 @@ def test_specialize_flag(capsys):
     assert code == 0 and out.strip() == "x1 + x2"
 
 
+def test_specialize_swap_flag(capsys):
+    # q=t,t=q swaps the variables: (q t - q)/(q t - 1) becomes
+    # (q t - t)/(q t - 1), in either order of the assignments
+    for spec in ("q=t,t=q", "t=q,q=t"):
+        code, out, _ = run(capsys, "compute", "E", "--lambda", "1,0",
+                           "--specialize", spec)
+        assert code == 0 and out.strip() == "x1 + (q*t - t)/(q*t - 1)*x2"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "compute", "f", "--lambda", "1,0,x")[0] == 2
     code, _, err = run(capsys, "compute", "f")
@@ -163,6 +172,11 @@ def golden_mismatches(workload):
         if code != want["exit"] or out.getvalue() != want["stdout"]:
             bad.append(job)
     return bad
+
+
+def test_basis_golden_outputs():
+    # every job of the benchmark's basis pool, byte for byte
+    assert golden_mismatches("basis") == []
 
 
 def test_raising_golden_outputs():

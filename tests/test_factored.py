@@ -10,53 +10,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macprod import matprod
+from macprod import matprod, qtfield
 from macprod.compositions import check_composition, is_partition
 from macprod.errors import InternalError
 from macprod.matprod import (compute_P, compute_f, expand_configurations,
                              raw_trace_sum)
-from macprod.qtfield import Factored, QTPoly, QTRat, binomial_factors, zero
+from macprod.qtfield import (Factored, QTRat, _dict_mul, binomial_factors,
+                             zero)
 from macprod.xpoly import XPoly
-
-ONE_P = QTPoly({(0, 0): 1})
 
 # binomials 1 - q^A t^B, gcd(A, B) > 1 included (1 - t^4, 1 - q^2 t^2)
 binomials = st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 4), (2, 2), (1, 2),
                              (3, 0), (2, 4), (3, 6), (4, 2)])
 # extra numerator factors: binomials and single cyclotomic pieces
 # 1 + t^2 (of 1 - t^4) and 1 + q t (of 1 - q^2 t^2)
-pieces = st.sampled_from([QTPoly({(0, 0): 1, (0, 1): -1}),
-                          QTPoly({(0, 0): 1, (0, 2): 1}),
-                          QTPoly({(0, 0): 1, (1, 1): 1}),
-                          QTPoly({(0, 0): 1, (2, 2): -1}),
-                          QTPoly({(0, 0): 1, (1, 2): -1})])
+pieces = st.sampled_from([{(0, 0): 1, (0, 1): -1},
+                          {(0, 0): 1, (0, 2): 1},
+                          {(0, 0): 1, (1, 1): 1},
+                          {(0, 0): 1, (2, 2): -1},
+                          {(0, 0): 1, (1, 2): -1}])
 polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                         st.integers(-3, 3).filter(bool), max_size=4)
 monomials = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
-def binomial_poly(A, B):
-    return ONE_P - QTPoly.mono(A, B)
-
-
 @st.composite
 def terms(draw):
     """(Factored value, the same value through QTRat's gcd reduction)."""
-    num = QTPoly(draw(polys))
+    num = draw(polys)
     for p in draw(st.lists(pieces, max_size=3)):
-        num = num * p
+        num = _dict_mul(num, p)
     dens = draw(st.lists(binomials, max_size=4))
     mq, mt = draw(monomials)
-    den = ONE_P
-    x = Factored({(qe + mq, te + mt): c for (qe, te), c in num.d.items()})
+    den = {(0, 0): 1}
+    x = Factored({(qe + mq, te + mt): c for (qe, te), c in num.items()})
     for A, B in dens:
-        den = den * binomial_poly(A, B)
+        den = _dict_mul(den, {(0, 0): 1, (A, B): -1})
         x = x * Factored.binomial(A, B, -1)
     return x, QTRat(num, den) * QTRat.monomial(mq, mt)
 
 
 def same(a, b):
-    return a.num.d == b.num.d and a.den.d == b.den.d
+    return a.num == b.num and a.den == b.den
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,7 +98,7 @@ def test_zero_and_cancellation():
     assert not Factored.sum([x, minus])
     # (1 - t^4)/(1 - t^2) = 1 + t^2 with no denominator left
     r = (Factored.binomial(0, 4, 1) * Factored.binomial(0, 2, -1)).reduce()
-    assert r == QTRat(QTPoly({(0, 0): 1, (0, 2): 1}))
+    assert r == QTRat({(0, 0): 1, (0, 2): 1})
 
 
 SHAPES = [(1, 0), (0, 1, 1), (2, 0, 1), (1, 2, 0, 1), (0, 0, 1, 2), (2, 2, 1),
@@ -134,6 +129,24 @@ def test_rank4_five_parts_monic_homogeneous():
     f = compute_f(lam)
     assert f.coeff_of(lam).is_one()
     assert f.is_homogeneous(sum(lam))
+
+
+def test_compute_f_and_P_take_no_gcd(monkeypatch):
+    # basis-pool compositions: the configuration sum reduces by trial
+    # division only
+    calls = []
+    real = qtfield._dict_gcd
+    monkeypatch.setattr(qtfield, "_dict_gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    matprod._compute_f.cache_clear()
+    matprod._trace.cache_clear()
+    for lam in ((3, 0, 0, 1, 3, 2), (0, 2, 3, 1, 2, 0, 1), (2, 1, 2, 1, 0, 3, 0)):
+        compute_f(lam)
+    compute_P((3, 2, 1, 0, 0))
+    assert calls == []
+    # the counter does see a reduction that needs a gcd
+    QTRat({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (0, 1): -1})
+    assert calls
 
 
 def test_bool_parts_rejected():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qtrat_hecke as oracle
 from macprod.hecke import compute_E, eigen_check, murphy_apply
-from macprod.qtfield import QTPoly, QTRat
+from macprod.qtfield import QTRat, _dict_mul
 from macprod.xpoly import XPoly
 
 T = QTRat.monomial(te=1)
@@ -23,10 +23,10 @@ small_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
 
 @st.composite
 def coefficients(draw):
-    den = QTPoly({(0, 0): 1})
+    den = {(0, 0): 1}
     for A, B in draw(st.lists(binomials, max_size=2)):
-        den = den * (QTPoly({(0, 0): 1}) - QTPoly.mono(A, B))
-    c = QTRat(QTPoly(draw(small_polys)), den)
+        den = _dict_mul(den, {(0, 0): 1, (A, B): -1})
+    c = QTRat(draw(small_polys), den)
     return c * QTRat.monomial(draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
 
 

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtrat_fock as oracle
+from helpers import merge_family_one
 from macprod import lattice
 from macprod.errors import CutoffTooSmall, InternalError
 from macprod.lattice import (OpMatrix, OpTerm, build_L, build_R, build_tildeL,
                              entry_add, entry_mul, entry_scale, eval_entry,
                              intertwining_mismatch, intertwining_sides,
-                             matrices_equal_on_states,
-                             matrices_first_mismatch, merge_family_one, term,
-                             twist_term, verify_intertwining, zf_components)
+                             matrices_first_mismatch, term, twist_term,
+                             verify_intertwining, zf_components)
 from macprod.oscillator import LOWER, RAISE, kpow
 from macprod.qtfield import QTRat, one
 from qtrat_fock import fock_matrix, laurent
@@ -154,13 +154,13 @@ def test_intertwining_detects_corruption():
     bad.set(3, 1, e13)
     lhs = bad * _kron_prod(L, L.swap_xy())
     rhs = _kron_prod(L.swap_xy(), L) * bad
-    assert not matrices_equal_on_states(lhs, rhs, 4)
+    assert matrices_first_mismatch(lhs, rhs, 4) is not None
 
 
 def test_cutoff_too_small():
     m = OpMatrix(1, 1, {(0, 0): (term(),)})
     with pytest.raises(CutoffTooSmall):
-        matrices_equal_on_states(m, m, 1)
+        matrices_first_mismatch(m, m, 1)
 
 
 def test_twist_term_layouts():

@@ -9,7 +9,7 @@ from macprod.matprod import compute_P, compute_f
 from macprod.oracles import (CONVENTIONS, asep_stationary, eigen_solve_E,
                              hall_littlewood, numeric_trace, schur,
                              _div_linear)
-from macprod.oscillator import (LOWER, RAISE, is_balanced, kpow,
+from macprod.oscillator import (LOWER, RAISE, kpow, net_change,
                                 trace_closed_form)
 from macprod.qtfield import QTRat, one, specialize
 from macprod.xpoly import XPoly
@@ -129,7 +129,7 @@ def test_numeric_trace_vs_closed_form():
     checked = 0
     while checked < 20:
         w = tuple(rng.choice(atoms) for _ in range(rng.randint(1, 8)))
-        if not is_balanced(w):
+        if net_change(w):
             continue
         if not any(a[0] == "k" and (a[1] or a[2]) for a in w):
             continue  # needs a convergence factor

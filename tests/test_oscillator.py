@@ -5,10 +5,11 @@ import random
 import pytest
 
 import qtrat_fock as oracle
+from helpers import bracket
 from macprod.errors import DivergentTrace, NotDyck
 from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, parse_word,
                                 psi_eval, trace_closed_form, walk, word_str)
-from macprod.qtfield import QTRat, bracket, one, zero
+from macprod.qtfield import QTRat, one, zero
 from qtrat_fock import FockMatrix, delta_t_operator, fock_matrix
 
 t = QTRat.monomial(te=1)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import bracket
 from macprod.errors import DivisionByZero, SpecializationPole
-from macprod.qtfield import QTPoly, QTRat, bracket, one, specialize, zero
+from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, one, specialize,
+                             zero)
 
 
 def mono(qe=0, te=0, c=1):
@@ -20,15 +22,15 @@ t = mono(te=1)
 
 def test_reduction_cancels_common_factor():
     # (1 - t^2)/(1 - t) = 1 + t
-    r = QTRat(QTPoly({(0, 0): 1, (0, 2): -1}), QTPoly({(0, 0): 1, (0, 1): -1}))
+    r = QTRat({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (0, 1): -1})
     assert r == 1 + t
 
 
 def test_reduction_sign_convention():
     # (t - 1)/(t q - q) = 1/q, with positive denominator leading coefficient
-    r = QTRat(QTPoly({(0, 1): 1, (0, 0): -1}), QTPoly({(1, 1): 1, (1, 0): -1}))
+    r = QTRat({(0, 1): 1, (0, 0): -1}, {(1, 1): 1, (1, 0): -1})
     assert r == mono(qe=-1)
-    assert r.den.leading()[1] > 0
+    assert r.den[max(r.den)] > 0
 
 
 def test_mixed_bivariate_gcd():
@@ -37,20 +39,22 @@ def test_mixed_bivariate_gcd():
     b = (1 - q * t) * (1 - t)
     r = a / b
     assert r == 1 + t
-    assert r.den.is_one()
+    assert r.den == _ONE_D
 
 
 def test_zero_denominator_raises():
     with pytest.raises(DivisionByZero):
-        QTRat(QTPoly.const(1), QTPoly.const(0))
+        QTRat(1, 0)
+    with pytest.raises(DivisionByZero):
+        QTRat({(0, 0): 1}, {(0, 0): 0})
     with pytest.raises(DivisionByZero):
         one() / zero()
 
 
 def test_negative_exponent_monomials():
     r = mono(qe=-2, te=3)
-    assert r.num.d == {(0, 3): 1}
-    assert r.den.d == {(2, 0): 1}
+    assert r.num == {(0, 3): 1}
+    assert r.den == {(2, 0): 1}
     assert r * mono(qe=2) == mono(te=3)
 
 
@@ -88,15 +92,14 @@ def test_field_axioms_random():
 
 
 def test_reduced_invariant_random():
-    from macprod.qtfield import _ONE_D, _dict_gcd
     rng = random.Random(7)
     for _ in range(40):
         a = _random_rat(rng)
         if a.is_zero():
-            assert a.den.is_one()
+            assert a.den == _ONE_D
             continue
-        assert _dict_gcd(a.num.d, a.den.d) == _ONE_D
-        assert a.den.leading()[1] > 0
+        assert _dict_gcd(a.num, a.den) == _ONE_D
+        assert a.den[max(a.den)] > 0
 
 
 def test_bracket_values():
@@ -113,8 +116,8 @@ def test_bracket_shifted():
     # (1 - q t^3)/(1 - t) stays unreduced over Z[q, t]; canonical form
     # flips both signs so the denominator leads with +t
     b = bracket(3, 1)
-    assert b.num.d == {(0, 0): -1, (1, 3): 1}
-    assert b.den.d == {(0, 0): -1, (0, 1): 1}
+    assert b.num == {(0, 0): -1, (1, 3): 1}
+    assert b.den == {(0, 0): -1, (0, 1): 1}
     assert specialize(b, q="t") == bracket(4)
 
 
@@ -125,6 +128,26 @@ def test_specialize_rules():
     assert specialize(r, q=1) == one()  # (1-t)/(1-t)
     v = specialize(r, q=Fraction(1, 2), t=Fraction(1, 3))
     assert v.as_fraction() == Fraction(1 - Fraction(1, 6), Fraction(2, 3))
+
+
+def test_specialize_swaps_q_and_t():
+    # both substitutions read the original exponents
+    for qe in range(3):
+        for te in range(3):
+            m = mono(qe, te, -2)
+            assert specialize(m, q="t", t="q") == mono(te, qe, -2)
+            assert specialize(m, q="t") == mono(0, qe + te, -2)
+            assert specialize(m, t="q") == mono(qe + te, 0, -2)
+    r = (1 - q * t * t) / (1 - t)
+    assert specialize(r, q="t", t="q") == (1 - q * q * t) / (1 - q)
+    rng = random.Random(3)
+    for _ in range(30):
+        a = _random_rat(rng)
+        swapped = specialize(a, q="t", t="q")
+        assert specialize(swapped, q="t", t="q") == a
+        # q := t after the swap is t := q before it, swapped
+        assert specialize(swapped, q="t") == specialize(
+            specialize(a, t="q"), q="t", t="q")
 
 
 def test_specialize_pole():
@@ -144,6 +167,38 @@ def test_json_round_trip_bit_exact():
         b = QTRat.from_obj(json.loads(blob))
         assert b == a
         assert json.dumps(b.to_obj(), sort_keys=True) == blob
+
+
+def test_from_obj_canonicalises():
+    # (1 - t^2)/(1 - t) and a zero term load as the reduced 1 + t
+    r = QTRat.from_obj({"num": [[0, 0, 1], [0, 2, -1], [1, 1, 0]],
+                        "den": [[0, 0, 1], [0, 1, -1]]})
+    assert r == 1 + t
+    assert r.to_obj() == {"num": [[0, 0, 1], [0, 1, 1]], "den": [[0, 0, 1]]}
+    # monomial content and sign: (2 q t)/(-4 q^2) = -t/(2 q)
+    r = QTRat.from_obj({"num": [[1, 1, 2]], "den": [[2, 0, -4]]})
+    assert r == mono(qe=-1, te=1, c=-1) / 2
+    assert r.to_obj() == {"num": [[0, 1, -1]], "den": [[1, 0, 2]]}
+    assert not QTRat.from_obj({"num": [[0, 0, 0]], "den": [[0, 0, 1]]})
+    with pytest.raises(DivisionByZero):
+        QTRat.from_obj({"num": [[0, 0, 1]], "den": [[1, 0, 0]]})
+
+
+def test_dict_gcd_cases():
+    # q only: gcd(1 - q^4, 1 - q^6) = q^2 - 1
+    assert _dict_gcd({(0, 0): 1, (4, 0): -1},
+                     {(0, 0): 1, (6, 0): -1}) == {(2, 0): 1, (0, 0): -1}
+    # t only with integer content: gcd(2 - 2t^2, 4 - 4t) = 2t - 2
+    assert _dict_gcd({(0, 0): 2, (0, 2): -2},
+                     {(0, 0): 4, (0, 1): -4}) == {(0, 1): 2, (0, 0): -2}
+    # monomial content: gcd(q^2 t (1 + t), q t^3 (1 + t)^2) = q t (1 + t)
+    assert _dict_gcd({(2, 1): 1, (2, 2): 1},
+                     {(1, 3): 1, (1, 4): 2, (1, 5): 1}) == {(1, 1): 1, (1, 2): 1}
+    # a single term: gcd(6 q^2 t, 4 q t^3 (1 + t)) = 2 q t
+    assert _dict_gcd({(2, 1): 6}, {(1, 3): 4, (1, 4): 4}) == {(1, 1): 2}
+    # coprime, and a zero argument
+    assert _dict_gcd({(0, 0): 1, (1, 1): -1}, {(0, 0): 1, (0, 1): -1}) == _ONE_D
+    assert _dict_gcd({}, {(0, 0): -3, (1, 0): -1}) == {(0, 0): 3, (1, 0): 1}
 
 
 def test_json_shape():

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from helpers import bracket
 from macprod.errors import InternalNonDivisibility
-from macprod.qtfield import QTRat, bracket, one
+from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
 
 t = QTRat.monomial(te=1)
@@ -152,3 +153,13 @@ def test_str_and_latex_order():
     # graded-lex descending: x1 x2, x2^2, x1
     assert str(f) == "x1*x2 + x2^2 + x1"
     assert f.latex() == "x_{1} x_{2} + x_{2}^{2} + x_{1}"
+
+
+def test_from_obj_drops_zero_terms():
+    obj = {"n": 2, "terms": [
+        {"exp": [1, 0], "coef": {"num": [], "den": [[0, 0, 1]]}},
+        {"exp": [0, 1], "coef": {"num": [[0, 0, 0]], "den": [[0, 0, 1]]}}]}
+    p = XPoly.from_obj(obj)
+    assert not p
+    assert p == XPoly.zero(2)
+    assert str(p) == "0"
