@@ -80,22 +80,8 @@ def _need_lambda(args):
     return args.lam
 
 
-def _print_configs(lam, rank):
-    cfgs = matprod.expand_configurations(lam, rank)
-    print(f"{len(cfgs)} balanced configurations")
-    for c in cfgs:
-        mono = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                        for i, e in enumerate(c.exps) if e)
-        print(f"paths {list(c.paths)}  {mono or '1'}  weight {c.weight}")
-
-
 def cmd_compute(args):
     lam = _need_lambda(args)
-    if args.configs:
-        if args.target != "f":
-            raise UsageError("--configs only applies to target f")
-        _print_configs(lam, args.rank)
-        return 0
     head = {"target": args.target, "lambda": list(lam)}
     if args.target == "f":
         rank = args.rank if args.rank is not None else (max(lam) if lam else 0)
@@ -188,16 +174,20 @@ def cmd_expand(args):
             for mu, w in rep.terms:
                 print(f"mu={mu}: {w}")
         return 0
+    cfgs = matprod.expand_configurations(lam, args.rank)
     if args.format == "json":
-        cfgs = matprod.expand_configurations(lam, args.rank)
         print(json.dumps({
             "lambda": list(lam),
             "configurations": [{
                 "paths": [list(p) for p in c.paths],
                 "exponents": list(c.exps),
                 "weight": c.weight.to_obj()} for c in cfgs]}, sort_keys=True))
-    else:
-        _print_configs(lam, args.rank)
+        return 0
+    print(f"{len(cfgs)} balanced configurations")
+    for c in cfgs:
+        mono = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(c.exps) if e)
+        print(f"paths {list(c.paths)}  {mono or '1'}  weight {c.weight}")
     return 0
 
 
@@ -238,8 +228,6 @@ def build_parser():
     c.add_argument("--mu", type=parse_composition, default=None)
     c.add_argument("--specialize", default=None,
                    metavar="q=0|q=t|q=NUM,t=NUM")
-    c.add_argument("--configs", action="store_true",
-                   help="dump the balanced trace configurations instead")
     c.set_defaults(func=cmd_compute)
 
     v = sub.add_parser("verify", help="run a verification suite")
@@ -253,8 +241,6 @@ def build_parser():
 
     e = sub.add_parser("expand", help="list trace configurations")
     common(e)
-    e.add_argument("--configs", action="store_true",
-                   help="list configurations (the default mode)")
     e.add_argument("--by-transition", action="store_true",
                    help="group by single-layer transfer target")
     e.set_defaults(func=cmd_expand)

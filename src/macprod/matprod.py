@@ -1,18 +1,27 @@
 """Matrix product construction of the polynomial basis f_lam.
 
-Each component of the nested column product A(x) = tL^(r)(x) .. tL^(1)(x)
-is a sum over lattice paths nu = (nu_r = part, nu_{r-1}, .., nu_0 = 0)
-through the nonzero entries of the reduced L-matrices.  Multiplying one
-component per variable, applying the diagonal twist and tracing family by
-family gives a polynomial in x with coefficients in Q(q, t); dividing by
-the q-binomial-type normalisation built from the conjugate shape makes it
-monic at x^lam.  Everything here is exact.
+The nested column product A(x) = tL^(r)(x) .. tL^(1)(x) is enumerated one
+level at a time.  A level-j transfer from mu to nu picks, in variable x_i,
+the entry of tL^(j) in row mu_i and column nu_i < j; the level-j families
+are traced with the diagonal twist, and the transfer survives only if each
+of them balances.  A configuration (one lattice path nu_r = part, ..,
+nu_0 = 0 per row) is a chain of transfers down to rank 0, with the product
+of the level weights as its weight.
+
+compute_f and compute_P sum the chains level by level, memoised on (mu, j)
+within one call: each coefficient of Omega_lam f_lam stays an unreduced
+Factored value, and dividing by the q-binomial-type normalisation from the
+conjugate shape reduces it once, with no gcd, to f_lam monic at x^lam.
+expand_configurations lists the chains themselves; it is the definitional
+oracle behind raw_trace_sum, verify_generating and the lhs of
+recursion_report.  Everything here is exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .compositions import (check_composition, check_partition, conjugate,
@@ -21,7 +30,7 @@ from .errors import (IndexOutOfRange, InternalError, InternalNonPolynomial,
                      LengthMismatch)
 from .lattice import build_tildeL
 from .oscillator import kpow, net_change, trace_factored
-from .qtfield import Factored, QTRat, one
+from .qtfield import Factored, QTRat
 from .xpoly import XPoly
 
 _ONE_F = Factored({(0, 0): 1})
@@ -37,51 +46,56 @@ def _trace(word):
     return trace_factored(word)
 
 
-def _slots(r):
-    return [(j, f) for j in range(2, r + 1) for f in range(2, j + 1)]
-
-
-class RowPath(NamedTuple):
-    path: tuple    # (nu_r, .., nu_0)
-    xdeg: int
-    factors: tuple  # ((level, family), atoms) pairs
-    net: tuple      # per-slot net occupation change
-
-
-@lru_cache(maxsize=None)
-def _row_paths(part, r):
-    """All admissible single-row paths for a part value at rank r."""
-    if part > r:
-        raise IndexOutOfRange(f"part {part} exceeds rank {r}")
-    paths = [(part,)]
-    for j in range(r, 0, -1):
-        nxt = []
-        for p in paths:
-            row = p[-1]
-            for col in range(j):
-                if col == 0 or row == 0 or row > col:
-                    nxt.append(p + (col,))
-        paths = nxt
+def _transfers(lam, r):
+    """Balanced level-r transfers out of lam as (mu, exps, weight), in
+    lexicographic order of mu: row i takes the entry (lam_i, mu_i) of
+    tL^(r), and weight is the unreduced product of the level-r family
+    traces with the twist.  Transfers of weight zero are dropped."""
+    rows = [[(col, _tl(r).entry(part, col)[0]) for col in range(r)
+             if _tl(r).entry(part, col)] for part in lam]
     out = []
-    for p in paths:
-        xdeg = 0
-        fac = {}
-        for idx, j in enumerate(range(r, 0, -1)):
-            e = _tl(j).entry(p[idx], p[idx + 1])
-            if not e:
-                break
-            t = e[0]
-            xdeg += t.xdeg
+    for combo in product(*rows):
+        words = {}
+        for _, t in combo:
             for slot, atoms in t.factors:
-                fac[slot] = atoms
+                words[slot] = words.get(slot, ()) + atoms
+        weight = _ONE_F
+        for f in range(2, r + 1):
+            word = words.get((r, f), ()) + (kpow(0, f - 1),)
+            if net_change(word):
+                break
+            weight = weight * _trace(word)
         else:
-            net = tuple((slot, net_change(atoms)) for slot, atoms in fac.items())
-            out.append(RowPath(p, xdeg, tuple(sorted(fac.items())), net))
-    return tuple(out)
+            if weight:
+                out.append((tuple(col for col, _ in combo),
+                            tuple(t.xdeg for _, t in combo), weight))
+    return out
+
+
+def _raw_sums(lam, r, memo):
+    """Omega_lam f_lam by levels as {exps: Factored}, each coefficient
+    summed over its lcm and cancelled; memo is keyed on (lam, r)."""
+    key = (lam, r)
+    if key not in memo:
+        if r <= 0:
+            memo[key] = {(0,) * len(lam): _ONE_F}
+        else:
+            groups = {}
+            for mu, exps, w in _transfers(lam, r):
+                for e, c in _raw_sums(mu, r - 1, memo).items():
+                    groups.setdefault(tuple(map(add, exps, e)), []).append(w * c)
+            memo[key] = _sum_groups(groups)
+    return memo[key]
+
+
+def _sum_groups(groups):
+    """{exps: [Factored]} -> {exps: cancelled sum}, zero sums dropped."""
+    sums = {e: Factored.sum(ws).cancel() for e, ws in groups.items()}
+    return {e: s for e, s in sums.items() if s}
 
 
 class Config(NamedTuple):
-    paths: tuple         # one lattice path per row
+    paths: tuple         # one lattice path (nu_r, .., nu_0) per row
     exps: tuple          # x-exponents per row
     factored: Factored   # product of the per-family traces, unreduced
 
@@ -92,33 +106,29 @@ class Config(NamedTuple):
 
 
 def expand_configurations(lam, r=None):
-    """Balanced path configurations of lam with their trace weights."""
+    """Balanced path configurations of lam with their trace weights, in
+    lexicographic order of their row paths."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
-    rows = [_row_paths(p, r) for p in lam]
-    slots = _slots(r)
-    twist = {(j, f): (kpow(0, f - 1),) for j, f in slots}
-    out = []
-    for combo in product(*rows):
-        net = {}
-        for rp in combo:
-            for slot, d in rp.net:
-                net[slot] = net.get(slot, 0) + d
-        if any(net.values()):
-            continue
-        weight = _ONE_F
-        for slot in slots:
-            word = ()
-            for rp in combo:
-                word += dict(rp.factors).get(slot, ())
-            weight = weight * _trace(word + twist[slot])
-            if not weight:
-                break
-        if weight:
-            out.append(Config(tuple(rp.path for rp in combo),
-                              tuple(rp.xdeg for rp in combo), weight))
-    return out
+    r = max(lam, default=0) if r is None else r
+    for part in lam:
+        if part > r:
+            raise IndexOutOfRange(f"part {part} exceeds rank {r}")
+    memo = {}
+
+    def chains(mu, j):
+        if (mu, j) not in memo:
+            if j <= 0:
+                memo[mu, j] = [Config(tuple((p,) for p in mu),
+                                      (0,) * len(mu), _ONE_F)]
+            else:
+                memo[mu, j] = [
+                    Config(tuple((p,) + path for p, path in zip(mu, c.paths)),
+                           tuple(map(add, exps, c.exps)), w * c.factored)
+                    for nu, exps, w in _transfers(mu, j)
+                    for c in chains(nu, j - 1)]
+        return memo[mu, j]
+
+    return sorted(chains(lam, r), key=lambda c: c.paths)
 
 
 def _config_sums(configs):
@@ -126,7 +136,7 @@ def _config_sums(configs):
     groups = {}
     for cfg in configs:
         groups.setdefault(cfg.exps, []).append(cfg.factored)
-    return {e: Factored.sum(ws) for e, ws in groups.items()}
+    return _sum_groups(groups)
 
 
 def _reduced_poly(n, sums, scale=_ONE_F):
@@ -142,8 +152,7 @@ def _reduced_poly(n, sums, scale=_ONE_F):
 def raw_trace_sum(lam, r=None):
     """Sum over configurations before normalisation: Omega_lam * f_lam."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
+    r = max(lam, default=0) if r is None else r
     return _reduced_poly(len(lam), _config_sums(expand_configurations(lam, r)))
 
 
@@ -161,15 +170,13 @@ def _omega(lam, r, power):
 def omega_norm(lam, r=None):
     """prod_{i<j<=r} 1/(1 - q^(j-i) t^(lam'_i - lam'_j)), conjugate shape."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
+    r = max(lam, default=0) if r is None else r
     return _omega(lam, r, -1).reduce()
 
 
 @lru_cache(maxsize=None)
 def _compute_f(lam, r):
-    f = _reduced_poly(len(lam), _config_sums(expand_configurations(lam, r)),
-                      _omega(lam, r, 1))
+    f = _reduced_poly(len(lam), _raw_sums(lam, r, {}), _omega(lam, r, 1))
     if not f.is_homogeneous(sum(lam)):
         raise InternalNonPolynomial(f"trace sum of {lam} lost homogeneity")
     if not f.coeff_of(lam).is_one():
@@ -182,8 +189,7 @@ def compute_f(lam, r=None):
     """The basis polynomial f_lam, monic at x^lam; the caller owns the
     returned polynomial (the cache keeps its own)."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
+    r = max(lam, default=0) if r is None else r
     if lam and max(lam) > r:
         raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
     return _compute_f(lam, r).copy()
@@ -198,42 +204,28 @@ def transition(lam, mu, r=None):
     mu = check_composition(mu)
     if len(lam) != len(mu):
         raise LengthMismatch(f"{lam} vs {mu}")
-    if r is None:
-        r = max(lam) if lam else 0
+    r = max(lam, default=0) if r is None else r
     if mu and max(mu) > r - 1:
         raise IndexOutOfRange(f"column index {max(mu)} needs rank > {r}")
-    n = len(lam)
-    fac = {}
-    exps = []
-    for li, mi in zip(lam, mu):
-        e = _tl(r).entry(li, mi)
-        if not e:
-            return XPoly.zero(n)
-        t = e[0]
-        exps.append(t.xdeg)
-        for slot, atoms in t.factors:
-            fac[slot] = fac.get(slot, ()) + atoms
-    coeff = _ONE_F
-    for f in range(2, r + 1):
-        word = fac.get((r, f), ()) + (kpow(0, f - 1),)
-        if net_change(word):
-            return XPoly.zero(n)
-        coeff = coeff * _trace(word)
-    return XPoly.monomial(tuple(exps), coeff.reduce())
+    for nu, exps, w in _transfers(lam, r):
+        if nu == mu:
+            return XPoly.monomial(exps, w.reduce())
+    return XPoly.zero(len(lam))
+
+
+def _prefactor(lam, r):
+    m = multiplicities(lam, top=r)
+    pref = _ONE_F
+    for i in range(1, r):
+        pref = pref * Factored.binomial(i, sum(m[:i]), 1)
+    return pref
 
 
 def recursion_prefactor(lam, r=None):
     """prod_{i=1}^{r-1} (1 - q^i t^(m_1+..+m_i)) from the part counts."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
-    m = multiplicities(lam, top=r)
-    pref = one()
-    run = 0
-    for i in range(1, r):
-        run += m[i - 1]
-        pref = pref * (one() - QTRat.monomial(qe=i, te=run))
-    return pref
+    r = max(lam, default=0) if r is None else r
+    return _prefactor(lam, r).reduce()
 
 
 class RecursionReport(NamedTuple):
@@ -245,29 +237,28 @@ class RecursionReport(NamedTuple):
 
 
 def recursion_report(lam, r=None):
-    """Peel one rank: f_lam = prefactor * sum_mu T_{lam,mu} f_mu."""
+    """Peel one rank: f_lam = prefactor * sum_mu T_{lam,mu} f_mu.  The
+    terms and rhs come from the level recursion behind compute_f, the lhs
+    from the configuration sum."""
     lam = check_composition(lam)
-    if r is None:
-        r = max(lam) if lam else 0
+    r = max(lam, default=0) if r is None else r
+    if lam and max(lam) > r:
+        raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
     n = len(lam)
-    lhs = compute_f(lam, r)
-    if r == 0:
-        return RecursionReport(one(), (), lhs, XPoly.one(n), lhs == XPoly.one(n))
+    lhs = _reduced_poly(n, _config_sums(expand_configurations(lam, r)),
+                        _omega(lam, r, 1))
     target = dominant(star(lam))
     terms = []
-    rhs = XPoly.zero(n)
-    for mu in product(range(r), repeat=n):
-        w = transition(lam, mu, r)
-        if not w:
-            continue
+    for mu, exps, w in _transfers(lam, r):
         if dominant(mu) != target:
             raise InternalError(
                 f"transfer from {lam} reached the foreign shape {mu}")
-        terms.append((mu, w))
-        rhs = rhs + w * compute_f(mu, r - 1)
-    pref = recursion_prefactor(lam, r)
-    rhs = rhs.scale(pref)
-    return RecursionReport(pref, tuple(terms), lhs, rhs, lhs == rhs)
+        terms.append((mu, XPoly.monomial(exps, w.reduce())))
+    # every f_mu shares the shape of target, hence its normalisation
+    pref = _prefactor(lam, r)
+    rhs = _reduced_poly(n, _raw_sums(lam, r, {}),
+                        pref * _omega(target, r - 1, 1))
+    return RecursionReport(pref.reduce(), tuple(terms), lhs, rhs, lhs == rhs)
 
 
 def verify_recursion(lam, r=None):
@@ -277,8 +268,9 @@ def verify_recursion(lam, r=None):
 def compute_P(lam, n=None):
     """Symmetric sum of f_mu over all rearrangements of the partition.
 
-    Omega depends only on the sorted shape, so the configurations of the
-    whole orbit are summed together and each coefficient is reduced once."""
+    Omega depends only on the sorted shape, so the raw sums of the whole
+    orbit (sharing one memo) are added and each coefficient is reduced
+    once."""
     lam = check_partition(lam)
     if n is None:
         n = len(lam)
@@ -286,8 +278,12 @@ def compute_P(lam, n=None):
         raise LengthMismatch(f"{n} variables cannot hold {lam}")
     padded = tuple(lam) + (0,) * (n - len(lam))
     r = max(padded) if padded else 0
-    configs = [c for mu in orbit(padded) for c in expand_configurations(mu, r)]
-    P = _reduced_poly(n, _config_sums(configs), _omega(padded, r, 1))
+    memo = {}
+    groups = {}
+    for mu in orbit(padded):
+        for e, c in _raw_sums(mu, r, memo).items():
+            groups.setdefault(e, []).append(c)
+    P = _reduced_poly(n, _sum_groups(groups), _omega(padded, r, 1))
     if not P.is_symmetric():
         raise InternalError(f"orbit sum of {lam} failed to symmetrise")
     if not P.is_homogeneous(sum(padded)):

@@ -137,10 +137,10 @@ def test_expand_modes(capsys):
                        "--by-transition")
     assert code == 0
     assert out.count("mu=") == 4
-    # --configs on compute f is the same listing
+    # expand is the one listing command: compute f has no --configs
     code, out2, _ = run(capsys, "compute", "f", "--lambda", "1,0",
                         "--configs")
-    assert code == 0 and out2.startswith("1 balanced configurations")
+    assert code == 2 and out2 == ""
 
 
 def test_trace_verb(capsys):

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script runs to completion in a fresh interpreter and prints
+exactly its recorded output (tests/demo_outputs/<demo>.txt)."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUTS = Path(__file__).resolve().parent / "demo_outputs"
 
 
 def test_demos_found():
@@ -23,4 +25,5 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    want = (OUTPUTS / f"{demo.stem}.txt").read_text(encoding="utf-8")
+    assert proc.stdout == want

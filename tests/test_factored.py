@@ -143,6 +143,9 @@ def test_compute_f_and_P_take_no_gcd(monkeypatch):
     for lam in ((3, 0, 0, 1, 3, 2), (0, 2, 3, 1, 2, 0, 1), (2, 1, 2, 1, 0, 3, 0)):
         compute_f(lam)
     compute_P((3, 2, 1, 0, 0))
+    # the certify pool's recursion checks: transfers, prefactor and rhs
+    for lam in ((0, 1, 2, 3), (1, 3, 0, 2), (2, 3, 0, 1), (3, 1, 0, 2)):
+        assert matprod.recursion_report(lam).ok
     assert calls == []
     # the counter does see a reduction that needs a gcd
     QTRat({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (0, 1): -1})

@@ -2,14 +2,18 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macprod.errors import IndexOutOfRange, LengthMismatch
+from macprod.hecke import eigen_check
 from macprod.matprod import (compute_P, compute_f, expand_configurations,
                              generating_trace, omega_norm, raw_trace_sum,
                              recursion_prefactor, recursion_report, transition,
                              verify_generating, verify_recursion)
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
+from product_walk import product_configurations
 
 Q = QTRat.monomial(qe=1)
 T = QTRat.monomial(te=1)
@@ -35,6 +39,23 @@ def test_f_001122_frozen():
 
 def test_configuration_count_001122():
     assert len(expand_configurations((0, 0, 1, 1, 2, 2), 2)) == 6
+
+
+def test_configuration_counts_at_rank_4():
+    # the row-path product walk visits 78,750 and 5.9 million combinations
+    assert len(expand_configurations((0, 1, 2, 3, 4))) == 288
+    assert len(expand_configurations((0, 0, 1, 1, 2, 3, 4))) == 4050
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.booleans())
+def test_configurations_match_product_walk(parts, above):
+    lam = tuple(parts)
+    r = max(lam) + above
+    got = [(c.paths, c.exps, c.weight) for c in expand_configurations(lam, r)]
+    want = [(paths, exps, w.reduce())
+            for paths, exps, w in product_configurations(lam, r)]
+    assert got == want
 
 
 def test_omega_norm_values():
@@ -89,6 +110,26 @@ def test_recursion_small_sweep():
     for n in (1, 2, 3):
         for lam in product(range(4), repeat=n):
             assert verify_recursion(lam), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.booleans())
+def test_recursion_matches_configuration_sum(parts, above):
+    # the level recursion behind compute_f against the configuration sum
+    lam = tuple(parts)
+    assert verify_recursion(lam, max(lam) + above)
+
+
+def test_recursion_at_rank_4_with_7_parts():
+    # level recursion against the configuration sum, out of reach of the
+    # product walk (5.9 million combinations)
+    assert verify_recursion((0, 0, 1, 1, 2, 3, 4))
+
+
+def test_antidominant_f_is_E_at_rank_5():
+    # for antidominant delta, f_delta is the eigenfunction E_delta
+    delta = (0, 1, 2, 3, 4, 5)
+    assert eigen_check(delta, compute_f(delta))
 
 
 def test_recursion_prefactor_values():
