@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import hecke, lattice, matprod, oracles
-from .compositions import antidominant, check_composition
 from .errors import DivergentTrace, InternalError, MacprodError
 from .oscillator import parse_word, trace_closed_form, word_str
 from .qtfield import specialize as qt_specialize
@@ -133,9 +132,7 @@ def cmd_verify(args):
         return 1
     if target == "eigen":
         lam = _need_lambda(args)
-        f = matprod.compute_f(lam) if lam == antidominant(lam) \
-            else hecke.compute_E(lam)
-        if hecke.eigen_check(lam, f):
+        if hecke.eigen_check(lam, hecke.compute_E(lam)):
             print(f"verify eigen {lam}: pass")
             return 0
         print(f"verify eigen {lam}: FAIL")
@@ -162,16 +159,16 @@ def cmd_verify(args):
 def cmd_expand(args):
     lam = _need_lambda(args)
     if args.by_transition:
-        rep = matprod.recursion_report(lam, args.rank)
+        prefactor, terms = matprod.transfer_table(lam, args.rank)
         if args.format == "json":
             print(json.dumps({
                 "lambda": list(lam),
-                "prefactor": rep.prefactor.to_obj(),
+                "prefactor": prefactor.to_obj(),
                 "terms": [{"mu": list(mu), "weight": w.to_obj()}
-                          for mu, w in rep.terms]}, sort_keys=True))
+                          for mu, w in terms]}, sort_keys=True))
         else:
-            print(f"prefactor: {rep.prefactor}")
-            for mu, w in rep.terms:
+            print(f"prefactor: {prefactor}")
+            for mu, w in terms:
                 print(f"mu={mu}: {w}")
         return 0
     cfgs = matprod.expand_configurations(lam, args.rank)
@@ -214,17 +211,16 @@ def build_parser():
         description="Exact Macdonald polynomials from oscillator traces")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, lam=True):
-        if lam:
-            sp.add_argument("--lambda", dest="lam", type=parse_composition,
-                            default=None, metavar="a,b,c")
+    def common(sp, *formats):
+        sp.add_argument("--lambda", dest="lam", type=parse_composition,
+                        default=None, metavar="a,b,c")
         sp.add_argument("--rank", type=int, default=None)
-        sp.add_argument("--format", choices=("text", "json", "latex"),
-                        default="text")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
 
     c = sub.add_parser("compute", help="compute a polynomial")
     c.add_argument("target", choices=("f", "E", "P", "transition"))
-    common(c)
+    common(c, "text", "json", "latex")
     c.add_argument("--mu", type=parse_composition, default=None)
     c.add_argument("--specialize", default=None,
                    metavar="q=0|q=t|q=NUM,t=NUM")
@@ -240,7 +236,7 @@ def build_parser():
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("expand", help="list trace configurations")
-    common(e)
+    common(e, "text", "json")
     e.add_argument("--by-transition", action="store_true",
                    help="group by single-layer transfer target")
     e.set_defaults(func=cmd_expand)

@@ -47,8 +47,8 @@ class NotRaisable(MacprodError):
 
 
 class BranchResolutionFailure(MacprodError):
-    """Neither (or both) of the two raising-coefficient branches passed
-    the eigenvalue check."""
+    """The candidate of a raising move failed the eigenvalue check or
+    vanished at the target monomial."""
 
 
 class SingularSystem(MacprodError):

@@ -69,8 +69,7 @@ def qkz_failures(lam_plus):
     Relations: the equal-part relation T f = t f, the descent relation
     T f_mu = f_{s_i mu}, and the q-cycling of the shift."""
     lam_plus = dominant(lam_plus)
-    r = max(lam_plus) if lam_plus else 0
-    fs = {mu: compute_f(mu, r).numerator() for mu in orbit(lam_plus)}
+    fs = {mu: compute_f(mu).numerator() for mu in orbit(lam_plus)}
     n = len(lam_plus)
     bad = []
     for mu, f in fs.items():
@@ -149,14 +148,13 @@ def triangular_expand(lam):
     dominance order is exact because every f_mu is monic at x^mu with
     support only at dominated exponents."""
     lam = check_composition(lam)
-    r = max(lam) if lam else 0
     resid = compute_E(lam)
     coeffs = {}
     for mu in sorted(orbit(lam), key=_psums, reverse=True):
         c = resid.coeff_of(mu)
         if c:
             coeffs[mu] = c
-            resid = resid - compute_f(mu, r).scale(c)
+            resid = resid - compute_f(mu).scale(c)
     if resid:
         raise SingularSystem(f"residual after peeling the orbit of {lam}")
     return coeffs

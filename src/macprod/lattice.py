@@ -249,19 +249,14 @@ def zf_components(r):
 
 
 def twist_term(r, space=None):
-    """Diagonal twist: q^((f-1) m_f) over every family f.
-
-    With space given, families 2..r of that single space; otherwise the
-    nested layout (level j carries families 2..j)."""
-    factors = []
-    if space is not None:
-        for f in range(2, r + 1):
-            factors.append(((space, f), (kpow(0, f - 1),)))
-    else:
-        for j in range(1, r + 1):
-            for f in range(2, j + 1):
-                factors.append(((j, f), (kpow(0, f - 1),)))
-    return term(factors=factors)
+    """Diagonal twist q^((f-1) m_f) on families 2..r of one space; without
+    a space, the nested layout: the union of the twists of levels 1..r,
+    level j on space j."""
+    if space is None:
+        return term(factors=[fac for j in range(1, r + 1)
+                             for fac in twist_term(j, space=j).factors])
+    return term(factors=[((space, f), (kpow(0, f - 1),))
+                         for f in range(2, r + 1)])
 
 
 #### truncated-state evaluation

@@ -2,11 +2,21 @@
 
 The nested column product A(x) = tL^(r)(x) .. tL^(1)(x) is enumerated one
 level at a time.  A level-j transfer from mu to nu picks, in variable x_i,
-the entry of tL^(j) in row mu_i and column nu_i < j; the level-j families
-are traced with the diagonal twist, and the transfer survives only if each
-of them balances.  A configuration (one lattice path nu_r = part, ..,
-nu_0 = 0 per row) is a chain of transfers down to rank 0, with the product
-of the level weights as its weight.
+the entry of tL^(j) in row mu_i and column nu_i < j; the level operator is
+the product of those entries followed by the level-j twist (lattice's
+term_mul and twist_term), and its weight is the product of the traces of
+its family words.  Family f (2 <= f <= j) is raised once by each row with
+mu_i = f that leaves the diagonal column f-1 and lowered once by each row
+that lands in column f-1 from another part, so every family balances
+exactly when nu is a rearrangement of star(mu); an unbalanced family
+traces to zero, and only these transfers are enumerated.  A
+configuration (one lattice path nu_r = part, .., nu_0 = 0 per row) is a
+chain of transfers down to rank 0, with the product of the level weights
+as its weight.
+
+Every public entry point passes its input through one gate, _rank: the
+composition is checked, the rank defaults to the largest part, and a part
+above the rank raises IndexOutOfRange.
 
 compute_f and compute_P sum the chains level by level, memoised on (mu, j)
 within one call: each coefficient of Omega_lam f_lam stays an unreduced
@@ -19,7 +29,7 @@ recursion_report.  Everything here is exact.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from operator import add
 from typing import NamedTuple
@@ -28,8 +38,8 @@ from .compositions import (check_composition, check_partition, conjugate,
                            dominant, multiplicities, orbit, star)
 from .errors import (IndexOutOfRange, InternalError, InternalNonPolynomial,
                      LengthMismatch)
-from .lattice import build_tildeL
-from .oscillator import kpow, net_change, trace_factored
+from .lattice import build_tildeL, term_mul, twist_term
+from .oscillator import trace_factored
 from .qtfield import Factored, QTRat
 from .xpoly import XPoly
 
@@ -46,29 +56,37 @@ def _trace(word):
     return trace_factored(word)
 
 
+def _rank(lam, r):
+    """The input gate: the checked composition and its rank, which
+    defaults to the largest part and may not lie below it."""
+    lam = check_composition(lam)
+    r = max(lam, default=0) if r is None else r
+    if lam and max(lam) > r:
+        raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
+    return lam, r
+
+
 def _transfers(lam, r):
-    """Balanced level-r transfers out of lam as (mu, exps, weight), in
-    lexicographic order of mu: row i takes the entry (lam_i, mu_i) of
-    tL^(r), and weight is the unreduced product of the level-r family
-    traces with the twist.  Transfers of weight zero are dropped."""
+    """Balanced level-r transfers out of lam, those with mu a
+    rearrangement of star(lam), as (mu, exps, weight) in lexicographic
+    order of mu: row i takes the entry (lam_i, mu_i) of
+    tL^(r), and weight is the unreduced product of the family traces of
+    the twisted level operator.  Transfers of weight zero are dropped."""
     rows = [[(col, _tl(r).entry(part, col)[0]) for col in range(r)
              if _tl(r).entry(part, col)] for part in lam]
+    shape = sorted(star(lam))
+    twist = twist_term(r, space=r)
     out = []
     for combo in product(*rows):
-        words = {}
-        for _, t in combo:
-            for slot, atoms in t.factors:
-                words[slot] = words.get(slot, ()) + atoms
+        mu = tuple(col for col, _ in combo)
+        if sorted(mu) != shape:
+            continue
+        op = reduce(term_mul, [t for _, t in combo] + [twist])
         weight = _ONE_F
-        for f in range(2, r + 1):
-            word = words.get((r, f), ()) + (kpow(0, f - 1),)
-            if net_change(word):
-                break
+        for _, word in op.factors:
             weight = weight * _trace(word)
-        else:
-            if weight:
-                out.append((tuple(col for col, _ in combo),
-                            tuple(t.xdeg for _, t in combo), weight))
+        if weight:
+            out.append((mu, tuple(t.xdeg for _, t in combo), weight))
     return out
 
 
@@ -108,11 +126,7 @@ class Config(NamedTuple):
 def expand_configurations(lam, r=None):
     """Balanced path configurations of lam with their trace weights, in
     lexicographic order of their row paths."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
-    for part in lam:
-        if part > r:
-            raise IndexOutOfRange(f"part {part} exceeds rank {r}")
+    lam, r = _rank(lam, r)
     memo = {}
 
     def chains(mu, j):
@@ -151,8 +165,7 @@ def _reduced_poly(n, sums, scale=_ONE_F):
 
 def raw_trace_sum(lam, r=None):
     """Sum over configurations before normalisation: Omega_lam * f_lam."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
+    lam, r = _rank(lam, r)
     return _reduced_poly(len(lam), _config_sums(expand_configurations(lam, r)))
 
 
@@ -169,8 +182,7 @@ def _omega(lam, r, power):
 
 def omega_norm(lam, r=None):
     """prod_{i<j<=r} 1/(1 - q^(j-i) t^(lam'_i - lam'_j)), conjugate shape."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
+    lam, r = _rank(lam, r)
     return _omega(lam, r, -1).reduce()
 
 
@@ -188,29 +200,21 @@ def _compute_f(lam, r):
 def compute_f(lam, r=None):
     """The basis polynomial f_lam, monic at x^lam; the caller owns the
     returned polynomial (the cache keeps its own)."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
-    if lam and max(lam) > r:
-        raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
-    return _compute_f(lam, r).copy()
+    return _compute_f(*_rank(lam, r)).copy()
 
 
 def transition(lam, mu, r=None):
     """Single-layer transfer weight T_{lam,mu}(x): the rank-r matrix row
     lam_i, column mu_i picked in variable x_i, traced with the level-r
-    twist.  Zero unless every entry is admissible and each family
-    balances."""
-    lam = check_composition(lam)
+    twist.  Zero unless every entry is admissible and mu is a
+    rearrangement of star(lam)."""
+    lam, r = _rank(lam, r)
     mu = check_composition(mu)
     if len(lam) != len(mu):
         raise LengthMismatch(f"{lam} vs {mu}")
-    r = max(lam, default=0) if r is None else r
     if mu and max(mu) > r - 1:
         raise IndexOutOfRange(f"column index {max(mu)} needs rank > {r}")
-    for nu, exps, w in _transfers(lam, r):
-        if nu == mu:
-            return XPoly.monomial(exps, w.reduce())
-    return XPoly.zero(len(lam))
+    return dict(transfer_table(lam, r)[1]).get(mu, XPoly.zero(len(lam)))
 
 
 def _prefactor(lam, r):
@@ -223,9 +227,17 @@ def _prefactor(lam, r):
 
 def recursion_prefactor(lam, r=None):
     """prod_{i=1}^{r-1} (1 - q^i t^(m_1+..+m_i)) from the part counts."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
-    return _prefactor(lam, r).reduce()
+    return _prefactor(*_rank(lam, r)).reduce()
+
+
+def transfer_table(lam, r=None):
+    """The recursion prefactor and the nonzero single-layer transfers out
+    of lam, as (prefactor, ((mu, T_{lam,mu} XPoly), ..)) in lexicographic
+    order of mu."""
+    lam, r = _rank(lam, r)
+    return _prefactor(lam, r).reduce(), tuple(
+        (mu, XPoly.monomial(exps, w.reduce()))
+        for mu, exps, w in _transfers(lam, r))
 
 
 class RecursionReport(NamedTuple):
@@ -240,25 +252,14 @@ def recursion_report(lam, r=None):
     """Peel one rank: f_lam = prefactor * sum_mu T_{lam,mu} f_mu.  The
     terms and rhs come from the level recursion behind compute_f, the lhs
     from the configuration sum."""
-    lam = check_composition(lam)
-    r = max(lam, default=0) if r is None else r
-    if lam and max(lam) > r:
-        raise IndexOutOfRange(f"rank {r} below largest part of {lam}")
+    lam, r = _rank(lam, r)
     n = len(lam)
     lhs = _reduced_poly(n, _config_sums(expand_configurations(lam, r)),
                         _omega(lam, r, 1))
-    target = dominant(star(lam))
-    terms = []
-    for mu, exps, w in _transfers(lam, r):
-        if dominant(mu) != target:
-            raise InternalError(
-                f"transfer from {lam} reached the foreign shape {mu}")
-        terms.append((mu, XPoly.monomial(exps, w.reduce())))
-    # every f_mu shares the shape of target, hence its normalisation
-    pref = _prefactor(lam, r)
-    rhs = _reduced_poly(n, _raw_sums(lam, r, {}),
-                        pref * _omega(target, r - 1, 1))
-    return RecursionReport(pref.reduce(), tuple(terms), lhs, rhs, lhs == rhs)
+    # every f_mu has the shape of star(lam), hence its normalisation
+    rhs = _reduced_poly(n, _raw_sums(lam, r, {}), _prefactor(lam, r) *
+                        _omega(dominant(star(lam)), r - 1, 1))
+    return RecursionReport(*transfer_table(lam, r), lhs, rhs, lhs == rhs)
 
 
 def verify_recursion(lam, r=None):
@@ -276,8 +277,7 @@ def compute_P(lam, n=None):
         n = len(lam)
     if n < len(lam):
         raise LengthMismatch(f"{n} variables cannot hold {lam}")
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    r = max(padded) if padded else 0
+    padded, r = _rank(tuple(lam) + (0,) * (n - len(lam)), None)
     memo = {}
     groups = {}
     for mu in orbit(padded):

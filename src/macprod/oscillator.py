@@ -66,10 +66,6 @@ def word_str(word):
     return " ".join(toks)
 
 
-def net_change(word):
-    return sum(1 if a == RAISE else -1 if a == LOWER else 0 for a in word)
-
-
 @lru_cache(maxsize=1 << 14)
 def walk(word, m, cutoff=None):
     """Apply the word (a tuple of atoms) to |m>; return (m_out, factor).

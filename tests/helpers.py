@@ -1,6 +1,7 @@
-"""Small constructors the tests share; the package itself never needs them."""
+"""Small helpers the tests share; the package itself never needs them."""
 
 from macprod.lattice import OpMatrix, OpTerm, entry_add
+from macprod.oscillator import LOWER, RAISE
 from macprod.qtfield import QTRat
 
 
@@ -11,6 +12,11 @@ def bracket(m, c=0):
     num = {(0, 0): 1}
     num[(c, m)] = num.get((c, m), 0) - 1
     return QTRat(num, {(0, 0): 1, (0, 1): -1})
+
+
+def net_change(word):
+    """Raises minus lowers in an oscillator word."""
+    return sum(1 if a == RAISE else -1 if a == LOWER else 0 for a in word)
 
 
 def merge_family_one(mat, space=0):

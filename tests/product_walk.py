@@ -1,5 +1,6 @@
-"""The row-path product walk that `expand_configurations` replaced, kept
-as a test reference.
+"""The row-path product walk that `expand_configurations` replaced, and
+the per-family balance filter that the shape rule of `matprod._transfers`
+replaced, kept as test references.
 
 Every row lists all of its admissible lattice paths through the reduced
 L-matrices of levels r..1; the walk takes every combination of one path
@@ -12,9 +13,10 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
+from helpers import net_change
 from macprod.errors import IndexOutOfRange
 from macprod.lattice import build_tildeL
-from macprod.oscillator import kpow, net_change, trace_factored
+from macprod.oscillator import kpow, trace_factored
 from macprod.qtfield import Factored
 
 _ONE_F = Factored({(0, 0): 1})
@@ -93,4 +95,30 @@ def product_configurations(lam, r):
         if weight:
             out.append((tuple(rp.path for rp in combo),
                         tuple(rp.xdeg for rp in combo), weight))
+    return out
+
+
+def level_transfers(lam, r):
+    """Level-r transfers out of lam by the per-family filter: every
+    combination of one tL^(r) entry per row whose family words balance,
+    as (mu, exps, unreduced Factored weight), in lexicographic order of
+    mu, zero weights included.  Each family word is the row words in row
+    order followed by the twist atom."""
+    rows = [[(col, _tl(r).entry(part, col)[0]) for col in range(r)
+             if _tl(r).entry(part, col)] for part in lam]
+    out = []
+    for combo in product(*rows):
+        words = {}
+        for _, t in combo:
+            for slot, atoms in t.factors:
+                words[slot] = words.get(slot, ()) + atoms
+        families = range(2, r + 1)
+        if any(net_change(words.get((r, f), ())) for f in families):
+            continue
+        weight = _ONE_F
+        for f in families:
+            weight = weight * trace_factored(
+                words.get((r, f), ()) + (kpow(0, f - 1),))
+        out.append((tuple(col for col, _ in combo),
+                    tuple(t.xdeg for _, t in combo), weight))
     return out

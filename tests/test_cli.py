@@ -143,6 +143,44 @@ def test_expand_modes(capsys):
     assert code == 2 and out2 == ""
 
 
+def test_part_above_rank_exits_2(capsys):
+    code, out, err = run(capsys, "compute", "transition", "--lambda", "3,0",
+                         "--mu", "1,0", "--rank", "2")
+    assert code == 2 and out == ""
+    assert "rank 2 below largest part" in err
+
+
+def test_verify_has_no_format_option(capsys):
+    code, out, _ = run(capsys, "verify", "eigen", "--lambda", "0,1",
+                       "--format", "json")
+    assert code == 2 and out == ""
+
+
+def test_expand_has_no_latex_format(capsys):
+    code, out, _ = run(capsys, "expand", "--lambda", "1,0",
+                       "--format", "latex")
+    assert code == 2 and out == ""
+
+
+def test_expand_by_transition_skips_the_configuration_sum(capsys,
+                                                           monkeypatch):
+    calls = []
+    real = matprod.expand_configurations
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(matprod, "expand_configurations", counted)
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "expand", "--lambda", "3,1,0,2",
+                           "--by-transition", "--format", fmt)
+        assert code == 0 and "prefactor" in out
+    assert calls == []
+    # the counter does see the listing that does run the sum
+    assert run(capsys, "expand", "--lambda", "1,0")[0] == 0
+    assert len(calls) == 1
+
+
 def test_trace_verb(capsys):
     code, out, _ = run(capsys, "trace", "a A k^(2,1)")
     assert code == 0

@@ -1,19 +1,22 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macprod import matprod
 from macprod.errors import IndexOutOfRange, LengthMismatch
 from macprod.hecke import eigen_check
-from macprod.matprod import (compute_P, compute_f, expand_configurations,
-                             generating_trace, omega_norm, raw_trace_sum,
-                             recursion_prefactor, recursion_report, transition,
+from macprod.matprod import (_ONE_F, _transfers, compute_P, compute_f,
+                             expand_configurations, generating_trace,
+                             omega_norm, raw_trace_sum, recursion_prefactor,
+                             recursion_report, transfer_table, transition,
                              verify_generating, verify_recursion)
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
-from product_walk import product_configurations
+from product_walk import level_transfers, product_configurations
 
 Q = QTRat.monomial(qe=1)
 T = QTRat.monomial(te=1)
@@ -56,6 +59,36 @@ def test_configurations_match_product_walk(parts, above):
     want = [(paths, exps, w.reduce())
             for paths, exps, w in product_configurations(lam, r)]
     assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.booleans())
+def test_shape_rule_matches_family_balance(parts, above):
+    # the shape rule (mu a rearrangement of star(lam)) keeps exactly the
+    # row combinations whose families all balance; with every trace
+    # stubbed to 1 no combination is dropped for a zero weight
+    lam = tuple(parts)
+    r = max(lam) + above
+    kept = level_transfers(lam, r)
+    with mock.patch.object(matprod, "_trace", lambda word: _ONE_F):
+        assert [mu for mu, _, _ in _transfers(lam, r)] == \
+            [mu for mu, _, _ in kept]
+    # the weights built from the lattice operators match the per-family
+    # words with the twist atom appended
+    got = [(mu, exps, w.reduce()) for mu, exps, w in _transfers(lam, r)]
+    assert got == [(mu, exps, w.reduce()) for mu, exps, w in kept if w]
+
+
+def test_part_above_rank_is_rejected():
+    lam, r = (3, 0), 2
+    for fn in (compute_f, expand_configurations, raw_trace_sum, omega_norm,
+               recursion_prefactor, recursion_report, transfer_table):
+        with pytest.raises(IndexOutOfRange):
+            fn(lam, r)
+    with pytest.raises(IndexOutOfRange):
+        transition(lam, (1, 0), r)
+    with pytest.raises(IndexOutOfRange):
+        omega_norm((1, 0), 0)
 
 
 def test_omega_norm_values():
@@ -150,6 +183,14 @@ def test_transition_guards():
 def test_transition_monomial_shape():
     w = transition((3, 1, 0, 2), (2, 0, 0, 1))
     assert set(w.terms) == {(1, 1, 0, 1)}
+
+
+def test_transfer_table_lists_the_recursion_terms():
+    pref, terms = transfer_table((3, 1, 0, 2))
+    assert pref == recursion_prefactor((3, 1, 0, 2))
+    assert terms == recursion_report((3, 1, 0, 2)).terms
+    for mu, w in terms:
+        assert w == transition((3, 1, 0, 2), mu)
 
 
 def test_compute_P_small():

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import net_change
 from macprod.errors import ReducibleChain
 from macprod.hecke import compute_E
 from macprod.matprod import compute_P, compute_f
 from macprod.oracles import (CONVENTIONS, asep_stationary, eigen_solve_E,
                              hall_littlewood, numeric_trace, schur,
                              _div_linear)
-from macprod.oscillator import (LOWER, RAISE, kpow, net_change,
-                                trace_closed_form)
+from macprod.oscillator import LOWER, RAISE, kpow, trace_closed_form
 from macprod.qtfield import QTRat, one, specialize
 from macprod.xpoly import XPoly
 

@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import bracket
 from macprod.errors import DivisionByZero, SpecializationPole
-from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, one, specialize,
-                             zero)
+from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, _dict_mul, one,
+                             specialize, zero)
 
 
 def mono(qe=0, te=0, c=1):
@@ -89,6 +91,59 @@ def test_field_axioms_random():
         if not a.is_zero():
             assert a * a.inverse() == one()
             assert (a ** 3) * (a ** -2) == a
+
+
+def _polys(min_size=0):
+    """Sparse dicts {(q_exp, t_exp): nonzero int} of small degree."""
+    return st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.sampled_from((-2, -1, 1, 2)),
+                           min_size=min_size, max_size=3)
+
+
+_rats = st.builds(QTRat, _polys(), _polys(1))
+
+
+def _is_canonical(a):
+    if a.is_zero():
+        return a.den == _ONE_D
+    # coprime, lex-leading denominator coefficient positive, and per
+    # variable the lowest exponent of num and den is 0 on one side and
+    # nonnegative on the other
+    return (_dict_gcd(a.num, a.den) == _ONE_D and a.den[max(a.den)] > 0
+            and all(min(k[i] for k in (*a.num, *a.den)) == 0
+                    for i in (0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rats, _rats, _rats)
+def test_field_axioms_hypothesis(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero() == a and a * one() == a
+    assert a + (-a) == zero() and a - a == zero()
+    if a:
+        assert a * a.inverse() == one() and b / a * a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rats, _rats, _polys(1))
+def test_equal_values_are_structurally_equal(a, b, g):
+    # canonical form: every result is reduced, and equality of values
+    # (cross-multiplication) coincides with equality of (num, den)
+    for v in (a, b, a + b, a * b, a - b):
+        assert _is_canonical(v)
+    same = _dict_mul(a.num, b.den) == _dict_mul(b.num, a.den)
+    assert (a == b) == same
+    back = (a + b) - b
+    assert (back.num, back.den) == (a.num, a.den)
+    expanded = QTRat(_dict_mul(a.num, g), _dict_mul(a.den, g))
+    assert (expanded.num, expanded.den) == (a.num, a.den)
+    assert hash(expanded) == hash(a)
+    assume(b)
+    back = (a * b) / b
+    assert (back.num, back.den) == (a.num, a.den)
 
 
 def test_reduced_invariant_random():
