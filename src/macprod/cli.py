@@ -83,7 +83,7 @@ def cmd_compute(args):
     lam = _need_lambda(args)
     head = {"target": args.target, "lambda": list(lam)}
     if args.target == "f":
-        rank = args.rank if args.rank is not None else (max(lam) if lam else 0)
+        lam, rank = matprod._rank(lam, args.rank)
         poly = matprod.compute_f(lam, rank)
         head = {"lambda": list(lam), "rank": rank,
                 "omega": matprod.omega_norm(lam, rank).to_obj()}

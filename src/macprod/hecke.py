@@ -11,19 +11,39 @@ Every raising move is certified by the exact Murphy eigen check, run on
 the denominator-cleared numerator D f (xpoly.XNum): each Murphy word acts
 on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
 times D f.  Scaling by a nonzero D is injective, so this is the full
-symbolic check over Q(q, t), with no gcd inside a word."""
+symbolic check over Q(q, t), with no gcd inside a word.
+
+The raising chain takes no gcd either.  It holds each E_lam with its
+integral numerator P = D E_lam, D a product of cyclotomic factors
+Phi_d(q^a t^b) kept as a multiset (qtfield.Factored).  A move forms
+Q = (1 - d) T~_i P + (1 - t) P, whose coefficient at the target monomial
+is exactly t (1 - d) D (the lead identity, checked on every move), so
+each coefficient of the raised E is Q_e / (t (1 - d) D) over a known
+factor multiset and reduces by trial division.  Where an E enters the
+chain as a plain XPoly (the anti-dominant base f_delta, or a caller's
+argument), its denominators are found by trial division by the factors
+of the Haglund-Haiman-Loehr denominator
+
+    D_lam = prod over cells u of dg(lam) of (1 - q^(leg(u)+1) t^(arm(u)+1)),
+
+which by their theorem clears every coefficient of E_lam.  A coefficient
+that D_lam does not clear, or a move whose lead identity fails, raises
+InternalError."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .compositions import (check_composition, dominant, eigen_exponents,
                            orbit, raising_word, rho_of)
-from .errors import (BranchResolutionFailure, IndexOutOfRange, NotRaisable,
-                     SingularSystem)
+from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
+                     NotRaisable, SingularSystem)
 from .matprod import compute_f
-from .xpoly import XNum
+from .qtfield import (Factored, _dict_mul, binomial_factors, divide_out,
+                      factor_product, over_lcm)
+from .xpoly import XNum, XPoly
 
 
 def _numerator(f):
@@ -93,40 +113,112 @@ def verify_qkz(lam_plus):
     return not qkz_failures(lam_plus)
 
 
+class Integral(NamedTuple):
+    """E_lam three ways: reduced (poly), as the integral numerator
+    num = D E_lam over den D, and D as a sorted multiset of cyclotomic
+    factors ((d, a, b), m), so that D = prod Phi_d(q^a t^b)^m exactly."""
+    poly: XPoly
+    num: XNum
+    factors: tuple
+
+
+def _hhl_factors(lam):
+    """The factor multiset of the Haglund-Haiman-Loehr denominator D_lam,
+    as a dict.  Column i of dg(lam) has height lam_i; its cell (i, j) has
+    leg lam_i - j and arm #{k > i : j <= lam_k <= lam_i} +
+    #{k < i : j - 1 <= lam_k < lam_i}."""
+    out = {}
+    for i, h in enumerate(lam):
+        for j in range(1, h + 1):
+            arm = sum(1 for p in lam[i + 1:] if j <= p <= h) + \
+                sum(1 for p in lam[:i] if j - 1 <= p < h)
+            for f, m in binomial_factors(h - j + 1, arm + 1)[1]:
+                out[f] = out.get(f, 0) + m
+    return out
+
+
+def _integral(lam, E):
+    """The Integral form of an XPoly E_lam: each coefficient denominator
+    is trial-divided by the factors of D_lam, and what is left must be a
+    unit monomial."""
+    hhl = _hhl_factors(lam)
+    coeffs = []
+    for c in E.terms.values():
+        den, have = c.den, []
+        for f, m in hhl.items():
+            den, k = divide_out(den, f, m)
+            if k:
+                have.append((f, k))
+        if len(den) != 1 or abs(next(iter(den.values()))) != 1:
+            raise InternalError(f"a coefficient denominator of E_{lam} "
+                                f"does not divide D_lam")
+        ((qe, te), s), = den.items()
+        coeffs.append(Factored({(a - qe, b - te): s * v
+                                for (a, b), v in c.num.items()},
+                               tuple(sorted(have))))
+    return _over_factors(E, coeffs)
+
+
+def _over_factors(E, coeffs):
+    """The Integral form of E from its coefficients as cancelled Factored
+    values, listed in the order of E.terms: the numerator is taken over
+    the lcm of their factor multisets, with no gcd."""
+    lcm, nums = over_lcm(coeffs)
+    return Integral(E, XNum(E.n, dict(zip(E.terms, nums)),
+                            factor_product(lcm)), lcm)
+
+
 def raise_E(lam, i, E):
     """One Baxterised raising move: E_lam -> E_{s_i lam} for an ascent at i.
 
-    The move is T~_i + (1-t)/(1-d) with d = q^a t^b the spectral-vector
-    quotient of the two swapped positions.  On the numerator P = D E it
-    forms Q = (1-d) T~_i P + (1-t) P, certifies Q by the exact eigen check
-    (which ignores scale), and divides by Q's coefficient at the target
-    monomial, so the result is monic there."""
+    The move is T~_i + (1-t)/(1-d) with d = q^a t^b (a, b > 0) the
+    spectral-vector quotient of the two swapped positions.  On the
+    integral numerator P = D E it forms Q = (1-d) T~_i P + (1-t) P and
+    certifies Q by the exact eigen check (which ignores scale).  Since E
+    is monic at x^lam, Q's coefficient at the target monomial is
+    t (1-d) D; that lead identity is checked, and each Q_e / (t (1-d) D)
+    is reduced by trial division over the factors of 1-d and D.
+
+    E is an XPoly, whose denominators are found among the factors of the
+    HHL denominator D_lam (InternalError otherwise), and the result is
+    the XPoly E_{s_i lam}; or E is the chain's Integral form, and so is
+    the result."""
     lam = check_composition(lam)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"raising index {i} outside 1..{n - 1}")
     if lam[i - 1] >= lam[i]:
         raise NotRaisable(f"{lam} has no ascent at {i}")
+    chained = isinstance(E, Integral)
+    if not chained:
+        E = _integral(lam, E)
     target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     rho2 = rho_of(lam)
-    d = (lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2)
-    P = E.numerator()
-    Q = P.demazure_T(i).times({(0, 0): 1, d: -1}) + \
+    a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
+    P = E.num
+    Q = P.demazure_T(i).times({(0, 0): 1, (a, b): -1}) + \
         P.times({(0, 0): 1, (0, 1): -1})
     lead = Q.terms.get(target)
     if not lead or not eigen_check(target, Q):
         raise BranchResolutionFailure(
             f"the spectral branch fails at {lam}, i={i}")
-    return XNum(n, Q.terms, lead).reduce()
+    if lead != _dict_mul({(0, 1): 1, (a, b + 1): -1}, P.den):
+        raise InternalError(
+            f"the move at {lam}, i={i} breaks the lead identity t (1-d) D")
+    inv_lead = Factored({(0, -1): 1}, E.factors) * Factored.binomial(a, b, -1)
+    coeffs = [(Factored(c) * inv_lead).cancel() for c in Q.terms.values()]
+    poly = XPoly._raw(n, {e: x.canonical() for e, x in zip(Q.terms, coeffs)})
+    return _over_factors(poly, coeffs) if chained else poly
 
 
 @lru_cache(maxsize=None)
 def _compute_E(lam):
-    """E_lam, memoised along the raising chain: the last letter i of the
-    raising word of lam raises E_{s_i lam}, which comes from the cache."""
+    """E_lam as an Integral, memoised along the raising chain: the last
+    letter i of the raising word of lam raises E_{s_i lam}, which comes
+    from the cache."""
     word = raising_word(lam)
     if not word:
-        return compute_f(lam)
+        return _integral(lam, compute_f(lam))
     i = word[-1]
     prev = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     return raise_E(prev, i, _compute_E(prev))
@@ -135,7 +227,7 @@ def _compute_E(lam):
 def compute_E(lam):
     """Non-symmetric Macdonald polynomial, monic at x^lam; the caller owns
     the returned polynomial (the cache keeps its own)."""
-    return _compute_E(check_composition(lam)).copy()
+    return _compute_E(check_composition(lam)).poly.copy()
 
 
 def _psums(mu):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
 from .oscillator import LOWER, RAISE, kpow, walk
-from .qtfield import QTRat, _dict_iadd, _dict_mul
+from .qtfield import _ONE_D, QTRat, _dict_iadd, _dict_mul
 
 _T = QTRat.monomial(te=1)
 _T_MINUS_1 = _T - 1
@@ -57,7 +57,8 @@ def term(scalar=1, xdeg=0, ydeg=0, factors=()):
 
 
 def term_mul(t1, t2):
-    """Operator product t1 * t2 (t1 applied last)."""
+    """Operator product t1 * t2 (t1 applied last).  A unit scalar on
+    either side reuses the other scalar: scalars are never mutated."""
     if not t2.factors:
         factors = t1.factors
     elif not t1.factors:
@@ -67,8 +68,9 @@ def term_mul(t1, t2):
         for slot, atoms in t2.factors:
             merged[slot] = merged.get(slot, ()) + atoms
         factors = tuple(sorted(merged.items()))
-    return OpTerm(t1.xdeg + t2.xdeg, t1.ydeg + t2.ydeg,
-                  _dict_mul(t1.scalar, t2.scalar), factors)
+    s1, s2 = t1.scalar, t2.scalar
+    scalar = s2 if s1 == _ONE_D else s1 if s2 == _ONE_D else _dict_mul(s1, s2)
+    return OpTerm(t1.xdeg + t2.xdeg, t1.ydeg + t2.ydeg, scalar, factors)
 
 
 def _collect(terms):

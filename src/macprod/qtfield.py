@@ -14,7 +14,7 @@ monomial q^b t^a, i.e. t^u is identified with q.
 
 One function, _canonical, makes the reduced pair from a numerator and a
 denominator.  QTRat(num, den), QTRat.monomial, laurent_ratio and
-Factored.reduce all end in it; it takes a bivariate primitive-PRS gcd only
+Factored.canonical all end in it; it takes a bivariate primitive-PRS gcd only
 when the pair is not known to be coprime.  QTRat arithmetic (the oracle
 RREF, specialization) keeps its values reduced with gcds of the operands'
 parts.  The configuration sums behind f_lam and P_lam, the oscillator
@@ -24,8 +24,10 @@ binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
 in advance.  Sums then run over the lcm of the factor multisets, and one
 trial division per listed factor reduces the result, so that path takes
 no gcd at all.  The Hecke operators (xpoly) run on Laurent numerators over
-one common denominator and come back through laurent_ratio, one gcd per
-coefficient.  The lattice exchange relations never leave Z[q^+-1, t^+-1]
+one common denominator; the raising chain (hecke) keeps that denominator
+as a Factored multiset too and reduces each coefficient by trial
+division, while a plain XPoly comes back through laurent_ratio, one gcd
+per coefficient.  The lattice exchange relations never leave Z[q^+-1, t^+-1]
 and work on the Laurent dicts alone (_dict_mul, _dict_iadd).
 """
 
@@ -713,27 +715,18 @@ class Factored:
 
     @staticmethod
     def sum(terms):
-        """Sum over the lcm of the factor multisets: each numerator is
-        multiplied by the factors its denominator lacks."""
+        """Sum over the lcm of the factor multisets."""
         by_den = {}
         for x in terms:
             _dict_iadd(by_den.setdefault(x.den, {}), x.num)
-        by_den = {den: num for den, num in by_den.items() if num}
-        lcm = {}
-        for den in by_den:
-            for f, m in den:
-                lcm[f] = max(lcm.get(f, 0), m)
+        lcm, nums = over_lcm([Factored(num, den)
+                              for den, num in by_den.items() if num])
         total = {}
-        for den, num in by_den.items():
-            have = dict(den)
-            for f, m in lcm.items():
-                for _ in range(m - have.get(f, 0)):
-                    num = _dict_mul(num, _cyclotomic(f))
+        for num in nums:
             _dict_iadd(total, num)
         if not total:
             return Factored({})
-        return Factored(total,
-                        tuple(sorted((f, m) for f, m in lcm.items() if m)))
+        return Factored(total, lcm)
 
     def cancel(self):
         """Divide out each listed factor that divides the numerator, up to
@@ -746,22 +739,59 @@ class Factored:
             while m < 0:
                 num = _dict_mul(num, _cyclotomic(f))
                 m += 1
-            while m:
-                quo = _divide_factor(num, f)
-                if quo is None:
-                    break
-                num = quo
-                m -= 1
-            if m:
-                den.append((f, m))
+            num, k = divide_out(num, f, m)
+            if m > k:
+                den.append((f, m - k))
         return Factored(num, tuple(den))
 
+    def canonical(self):
+        """The canonical QTRat of a value that cancel() returned: no listed
+        factor divides the numerator, so _canonical needs no gcd."""
+        return QTRat._raw(*_canonical(self.num, factor_product(self.den),
+                                      coprime=True))
+
     def reduce(self):
-        """The canonical QTRat: cancel, then _canonical with no gcd, since
-        cancel leaves no listed factor dividing the numerator."""
-        x = self.cancel()
-        den = _ONE_D
+        """The canonical QTRat: cancel, then canonical()."""
+        return self.cancel().canonical()
+
+
+def divide_out(num, factor, m):
+    """(num / Phi^k, k) for Phi = factor and the largest k <= m such that
+    Phi^k divides num."""
+    k = 0
+    while k < m:
+        quo = _divide_factor(num, factor)
+        if quo is None:
+            break
+        num = quo
+        k += 1
+    return num, k
+
+
+def factor_product(den):
+    """prod Phi^m over a multiset of ((d, a, b), m) pairs, m >= 0, as a
+    Laurent dict."""
+    out = _ONE_D
+    for f, m in den:
+        for _ in range(m):
+            out = _dict_mul(out, _cyclotomic(f))
+    return out
+
+
+def over_lcm(values):
+    """(lcm, nums) for Factored values: lcm is the max-multiplicity union
+    of their factor multisets, as a sorted tuple, and nums[k] is the
+    numerator of values[k] over it: multiplied by the factors its own
+    multiset lacks.  Takes no gcd."""
+    lcm = {}
+    for x in values:
         for f, m in x.den:
-            for _ in range(m):
-                den = _dict_mul(den, _cyclotomic(f))
-        return QTRat._raw(*_canonical(x.num, den, coprime=True))
+            lcm[f] = max(lcm.get(f, 0), m)
+    nums = []
+    for x in values:
+        num, have = x.num, dict(x.den)
+        for f, m in lcm.items():
+            for _ in range(m - have.get(f, 0)):
+                num = _dict_mul(num, _cyclotomic(f))
+        nums.append(num)
+    return tuple(sorted((f, m) for f, m in lcm.items() if m)), nums

@@ -1,0 +1,44 @@
+"""The raising chain as it was before E was held over its factored
+denominator, kept as a test reference.
+
+Each move clears the denominators of E_lam with one gcd per distinct
+denominator (`XPoly.numerator`), forms Q = (1-d) T~_i P + (1-t) P,
+certifies it by the Murphy eigen check and divides by Q's coefficient at
+the target monomial with one gcd per coefficient (`XNum.reduce`).  It
+trusts no lead identity and no denominator bound, so it checks both.
+"""
+
+from macprod.compositions import raising_word, rho_of
+from macprod.errors import BranchResolutionFailure
+from macprod.hecke import eigen_check
+from macprod.matprod import compute_f
+from macprod.xpoly import XNum
+
+
+def raise_E(lam, i, E):
+    """E_{s_i lam} from the XPoly E_lam, for an ascent of lam at i."""
+    n = len(lam)
+    target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
+    rho2 = rho_of(lam)
+    d = (lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2)
+    P = E.numerator()
+    Q = P.demazure_T(i).times({(0, 0): 1, d: -1}) + \
+        P.times({(0, 0): 1, (0, 1): -1})
+    lead = Q.terms.get(target)
+    if not lead or not eigen_check(target, Q):
+        raise BranchResolutionFailure(
+            f"the spectral branch fails at {lam}, i={i}")
+    return XNum(n, Q.terms, lead).reduce()
+
+
+def compute_E(lam, memo):
+    """E_lam along the raising chain, memoised in the dict memo."""
+    if lam not in memo:
+        word = raising_word(lam)
+        if not word:
+            memo[lam] = compute_f(lam)
+        else:
+            i = word[-1]
+            prev = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
+            memo[lam] = raise_E(prev, i, compute_E(prev, memo))
+    return memo[lam]

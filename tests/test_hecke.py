@@ -3,14 +3,17 @@ from itertools import product
 
 import pytest
 
+import gcd_raising
 import qtrat_hecke as oracle
 
+from macprod import matprod, qtfield
 from macprod.compositions import dominance_leq, eigen_exponents
-from macprod.errors import IndexOutOfRange, NotRaisable
-from macprod.hecke import (_compute_E, compute_E, eigen_check, murphy_apply,
-                           raise_E, triangular_expand, verify_qkz)
+from macprod.errors import IndexOutOfRange, InternalError, NotRaisable
+from macprod.hecke import (Integral, _compute_E, compute_E, eigen_check,
+                           murphy_apply, raise_E, triangular_expand,
+                           verify_qkz)
 from macprod.matprod import compute_f
-from macprod.qtfield import QTRat, one
+from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
 from macprod.xpoly import XPoly
 
 Q = QTRat.monomial(qe=1)
@@ -19,6 +22,21 @@ ONE = one()
 
 E10 = XPoly.variable(1, 2) + \
     XPoly.variable(2, 2).scale(Q * (ONE - T) / (ONE - Q * T))
+
+
+# the compositions of the raising benchmark pool
+POOL = ((3, 1, 0, 2), (2, 3, 0, 1), (3, 0, 2, 1), (1, 2, 0, 1, 0),
+        (1, 2, 1, 0, 0), (2, 1, 0, 0, 1), (2, 0, 1, 1, 0), (2, 0, 1, 0, 1),
+        (1, 3, 0, 2), (3, 2, 0, 1))
+
+SMALL = [lam for n in (2, 3, 4) for lam in product(range(3), repeat=n)]
+
+
+def _cold_caches():
+    """Clear every cache the raising chain reads."""
+    _compute_E.cache_clear()
+    matprod._compute_f.cache_clear()
+    matprod._trace.cache_clear()
 
 
 def _random_poly(rng, n, nterms=4, deg=3):
@@ -162,15 +180,84 @@ def test_compute_E_result_is_owned_by_the_caller():
 def test_raising_covers_small_compositions():
     # all 117 compositions with 2-4 parts in {0, 1, 2}: monic at x^lam, a
     # Murphy eigenfunction by the QTRat check, and the chain memo agrees
-    # with a cold recomputation of the whole chain
-    lams = [lam for n in (2, 3, 4) for lam in product(range(3), repeat=n)]
-    assert len(lams) == 117
+    # with a recomputation of the whole chain from cold caches
+    assert len(SMALL) == 117
     got = {}
-    for lam in lams:
+    for lam in SMALL:
         E = compute_E(lam)
         assert E.coeff_of(lam).is_one()
         assert oracle.eigen_check(lam, E)
         got[lam] = E
-    for lam in lams:
-        _compute_E.cache_clear()
+    for lam in SMALL:
+        _cold_caches()
         assert compute_E(lam) == got[lam]
+
+
+def test_factored_chain_matches_gcd_reduction():
+    # the chain reduces by trial division; the reference clears and
+    # reduces every move with gcds
+    memo = {}
+    for lam in SMALL + list(POOL):
+        assert compute_E(lam) == gcd_raising.compute_E(lam, memo)
+
+
+def test_compute_E_takes_no_gcd(monkeypatch):
+    calls = []
+    real = qtfield._dict_gcd
+    monkeypatch.setattr(qtfield, "_dict_gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    _cold_caches()
+    for lam in POOL + ((3, 2, 1, 0, 0),):
+        compute_E(lam)
+    assert calls == []
+    # the counter does see the gcd of the reference route
+    gcd_raising.compute_E((1, 0), {})
+    assert calls
+
+
+def _hhl_denominator(lam):
+    """Haglund-Haiman-Loehr D_lam = prod over the cells u = (i, j) of
+    dg(lam), column i of height lam_i, of 1 - q^(leg+1) t^(arm+1)."""
+    D = {(0, 0): 1}
+    for i, h in enumerate(lam):
+        for j in range(1, h + 1):
+            leg = h - j
+            arm = len([k for k in range(i + 1, len(lam))
+                       if j <= lam[k] <= h]) + \
+                len([k for k in range(i) if j - 1 <= lam[k] < h])
+            D = _dict_mul(D, {(0, 0): 1, (leg + 1, arm + 1): -1})
+    return D
+
+
+def test_E_denominators_divide_hhl_denominator():
+    # the chain forms D_lam only at its anti-dominant base, so this is a
+    # check of the raised values
+    for lam in ((4, 2, 1, 0), (3, 2, 1, 0, 0)):
+        D = _hhl_denominator(lam)
+        dens = {frozenset(c.den.items()): c.den
+                for c in compute_E(lam).terms.values()}
+        assert len(dens) > 1
+        for den in dens.values():
+            _dict_divexact(D, den)
+
+
+def test_raise_E_invariants_raise_internal_error():
+    # a numerator that is not D E breaks the lead identity t (1-d) D
+    E = _compute_E((0, 1, 2))
+    bad = Integral(E.poly, E.num.times({(0, 0): 2}), E.factors)
+    with pytest.raises(InternalError):
+        raise_E((0, 1, 2), 1, bad)
+    assert raise_E((0, 1, 2), 1, E).poly == compute_E((1, 0, 2))
+    # 1 - q^2 t does not divide D_(0,1) = 1 - q t^2
+    outside = ONE / QTRat({(0, 0): 1, (2, 1): -1})
+    with pytest.raises(InternalError):
+        raise_E((0, 1), 1, XPoly.variable(2, 2).scale(outside))
+
+
+def test_frontier_E_4210_from_cold_caches():
+    # at the gcd-reducing chain this took about 26 s
+    _cold_caches()
+    lam = (4, 2, 1, 0)
+    E = compute_E(lam)
+    assert E.coeff_of(lam).is_one()
+    assert eigen_check(lam, E)
