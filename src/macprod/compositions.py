@@ -8,7 +8,6 @@ w+ sorting a composition to its decreasing rearrangement is encoded
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
 
 from .errors import LengthMismatch, NotAPartition
 
@@ -71,14 +70,6 @@ def orbit(lam):
     return sorted(set(permutations(check_composition(lam))), reverse=True)
 
 
-def orbit_size(lam):
-    lam = check_composition(lam)
-    n = factorial(len(lam))
-    for v in set(lam):
-        n //= factorial(lam.count(v))
-    return n
-
-
 def dominance_leq(mu, lam):
     """Partial-sum dominance on equal-length, equal-size compositions."""
     mu, lam = check_composition(mu), check_composition(lam)
@@ -101,14 +92,6 @@ def w_plus_inv(lam):
     out = [0] * len(lam)
     for label, pos in enumerate(order, start=1):
         out[pos] = label
-    return tuple(out)
-
-
-def w_plus(lam):
-    inv = w_plus_inv(lam)
-    out = [0] * len(inv)
-    for pos, label in enumerate(inv, start=1):
-        out[label - 1] = pos
     return tuple(out)
 
 

@@ -13,31 +13,33 @@ on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
 times D f.  Scaling by a nonzero D is injective, so this is the full
 symbolic check over Q(q, t), with no gcd inside a word.
 
-The raising chain takes no gcd either.  It holds each E_lam with its
-integral numerator P = D E_lam, D a product of cyclotomic factors
-Phi_d(q^a t^b) kept as a multiset (qtfield.Factored).  A move forms
-Q = (1 - d) T~_i P + (1 - t) P, whose coefficient at the target monomial
-is exactly t (1 - d) D (the lead identity, checked on every move), so
-each coefficient of the raised E is Q_e / (t (1 - d) D) over a known
-factor multiset and reduces by trial division.  Where an E enters the
-chain as a plain XPoly (the anti-dominant base f_delta, or a caller's
-argument), its denominators are found by trial division by the factors
-of the Haglund-Haiman-Loehr denominator
+The raising chain and the qKZ check take no gcd either.  Their
+numerators come from one place, _integral: by the theorem of
+Haglund-Haiman-Loehr the denominator
 
-    D_lam = prod over cells u of dg(lam) of (1 - q^(leg(u)+1) t^(arm(u)+1)),
+    D_lam = prod over cells u of dg(lam) of (1 - q^(leg(u)+1) t^(arm(u)+1))
 
-which by their theorem clears every coefficient of E_lam.  A coefficient
-that D_lam does not clear, or a move whose lead identity fails, raises
-InternalError."""
+clears every coefficient of E_lam, and since the qKZ relations
+f_{s_i mu} = T~_i f_mu have coefficients in Z[t^+-1], D_delta of the
+anti-dominant delta clears every f_mu of its orbit too.  So each distinct
+coefficient denominator is trial-divided by the cyclotomic factors
+Phi_d(q^a t^b) of D_lam, and the numerator P = D E is taken over the lcm
+D of the factor multisets found (qtfield.Factored), which is usually far
+smaller than D_lam.  A raising move forms Q = (1 - d) T~_i P + (1 - t) P,
+whose coefficient at the target monomial is exactly t (1 - d) D (the
+lead identity, checked on every move), so each coefficient of the raised
+E is Q_e / (t (1 - d) D) over a known factor multiset and reduces by
+trial division.  The chain memoises each E_lam as a plain XPoly.  A
+coefficient that D_lam does not clear, on any move or any qKZ member, or
+a move whose lead identity fails, raises InternalError."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
-from .compositions import (check_composition, dominant, eigen_exponents,
-                           orbit, raising_word, rho_of)
+from .compositions import (antidominant, check_composition, dominant,
+                           eigen_exponents, orbit, raising_word, rho_of)
 from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
                      NotRaisable, SingularSystem)
 from .matprod import compute_f
@@ -89,7 +91,8 @@ def qkz_failures(lam_plus):
     Relations: the equal-part relation T f = t f, the descent relation
     T f_mu = f_{s_i mu}, and the q-cycling of the shift."""
     lam_plus = dominant(lam_plus)
-    fs = {mu: compute_f(mu).numerator() for mu in orbit(lam_plus)}
+    delta = antidominant(lam_plus)
+    fs = {mu: _integral(delta, compute_f(mu))[0] for mu in orbit(lam_plus)}
     n = len(lam_plus)
     bad = []
     for mu, f in fs.items():
@@ -113,15 +116,6 @@ def verify_qkz(lam_plus):
     return not qkz_failures(lam_plus)
 
 
-class Integral(NamedTuple):
-    """E_lam three ways: reduced (poly), as the integral numerator
-    num = D E_lam over den D, and D as a sorted multiset of cyclotomic
-    factors ((d, a, b), m), so that D = prod Phi_d(q^a t^b)^m exactly."""
-    poly: XPoly
-    num: XNum
-    factors: tuple
-
-
 def _hhl_factors(lam):
     """The factor multiset of the Haglund-Haiman-Loehr denominator D_lam,
     as a dict.  Column i of dg(lam) has height lam_i; its cell (i, j) has
@@ -138,64 +132,59 @@ def _hhl_factors(lam):
 
 
 def _integral(lam, E):
-    """The Integral form of an XPoly E_lam: each coefficient denominator
-    is trial-divided by the factors of D_lam, and what is left must be a
-    unit monomial."""
+    """(P, factors) for an XPoly E whose denominators divide D_lam: the
+    numerator P = D E as an XNum and D as a sorted multiset of cyclotomic
+    factors ((d, a, b), m), so that D = prod Phi_d(q^a t^b)^m exactly.
+
+    Each distinct coefficient denominator is trial-divided once by the
+    factors of D_lam, and what is left must be a unit monomial; D is the
+    lcm of the multisets found, so P takes no gcd."""
     hhl = _hhl_factors(lam)
+    split = {}
     coeffs = []
     for c in E.terms.values():
-        den, have = c.den, []
-        for f, m in hhl.items():
-            den, k = divide_out(den, f, m)
-            if k:
-                have.append((f, k))
-        if len(den) != 1 or abs(next(iter(den.values()))) != 1:
-            raise InternalError(f"a coefficient denominator of E_{lam} "
-                                f"does not divide D_lam")
-        ((qe, te), s), = den.items()
+        key = frozenset(c.den.items())
+        if key not in split:
+            den, have = c.den, []
+            for f, m in hhl.items():
+                den, k = divide_out(den, f, m)
+                if k:
+                    have.append((f, k))
+            if len(den) != 1 or abs(next(iter(den.values()))) != 1:
+                raise InternalError(f"a coefficient denominator does not "
+                                    f"divide D_{lam}")
+            split[key] = den, tuple(sorted(have))
+        unit, have = split[key]
+        ((qe, te), s), = unit.items()
         coeffs.append(Factored({(a - qe, b - te): s * v
-                                for (a, b), v in c.num.items()},
-                               tuple(sorted(have))))
-    return _over_factors(E, coeffs)
-
-
-def _over_factors(E, coeffs):
-    """The Integral form of E from its coefficients as cancelled Factored
-    values, listed in the order of E.terms: the numerator is taken over
-    the lcm of their factor multisets, with no gcd."""
-    lcm, nums = over_lcm(coeffs)
-    return Integral(E, XNum(E.n, dict(zip(E.terms, nums)),
-                            factor_product(lcm)), lcm)
+                                for (a, b), v in c.num.items()}, have))
+    factors, nums = over_lcm(coeffs)
+    return XNum(E.n, dict(zip(E.terms, nums)), factor_product(factors)), \
+        factors
 
 
 def raise_E(lam, i, E):
     """One Baxterised raising move: E_lam -> E_{s_i lam} for an ascent at i.
 
     The move is T~_i + (1-t)/(1-d) with d = q^a t^b (a, b > 0) the
-    spectral-vector quotient of the two swapped positions.  On the
-    integral numerator P = D E it forms Q = (1-d) T~_i P + (1-t) P and
-    certifies Q by the exact eigen check (which ignores scale).  Since E
-    is monic at x^lam, Q's coefficient at the target monomial is
-    t (1-d) D; that lead identity is checked, and each Q_e / (t (1-d) D)
-    is reduced by trial division over the factors of 1-d and D.
-
-    E is an XPoly, whose denominators are found among the factors of the
-    HHL denominator D_lam (InternalError otherwise), and the result is
-    the XPoly E_{s_i lam}; or E is the chain's Integral form, and so is
-    the result."""
+    spectral-vector quotient of the two swapped positions.  The XPoly E
+    is cleared to P = D E, its denominators found among the factors of
+    the HHL denominator D_lam (InternalError otherwise).  On P the move
+    forms Q = (1-d) T~_i P + (1-t) P and certifies Q by the exact eigen
+    check (which ignores scale).  Since E is monic at x^lam, Q's
+    coefficient at the target monomial is t (1-d) D; that lead identity
+    is checked, and each Q_e / (t (1-d) D) is reduced by trial division
+    over the factors of 1-d and D into the XPoly E_{s_i lam}."""
     lam = check_composition(lam)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"raising index {i} outside 1..{n - 1}")
     if lam[i - 1] >= lam[i]:
         raise NotRaisable(f"{lam} has no ascent at {i}")
-    chained = isinstance(E, Integral)
-    if not chained:
-        E = _integral(lam, E)
+    P, factors = _integral(lam, E)
     target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     rho2 = rho_of(lam)
     a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
-    P = E.num
     Q = P.demazure_T(i).times({(0, 0): 1, (a, b): -1}) + \
         P.times({(0, 0): 1, (0, 1): -1})
     lead = Q.terms.get(target)
@@ -205,20 +194,18 @@ def raise_E(lam, i, E):
     if lead != _dict_mul({(0, 1): 1, (a, b + 1): -1}, P.den):
         raise InternalError(
             f"the move at {lam}, i={i} breaks the lead identity t (1-d) D")
-    inv_lead = Factored({(0, -1): 1}, E.factors) * Factored.binomial(a, b, -1)
-    coeffs = [(Factored(c) * inv_lead).cancel() for c in Q.terms.values()]
-    poly = XPoly._raw(n, {e: x.canonical() for e, x in zip(Q.terms, coeffs)})
-    return _over_factors(poly, coeffs) if chained else poly
+    inv_lead = Factored({(0, -1): 1}, factors) * Factored.binomial(a, b, -1)
+    return XPoly._raw(n, {e: (Factored(c) * inv_lead).reduce()
+                          for e, c in Q.terms.items()})
 
 
 @lru_cache(maxsize=None)
 def _compute_E(lam):
-    """E_lam as an Integral, memoised along the raising chain: the last
-    letter i of the raising word of lam raises E_{s_i lam}, which comes
-    from the cache."""
+    """E_lam, memoised along the raising chain: the last letter i of the
+    raising word of lam raises E_{s_i lam}, which comes from the cache."""
     word = raising_word(lam)
     if not word:
-        return _integral(lam, compute_f(lam))
+        return compute_f(lam)
     i = word[-1]
     prev = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     return raise_E(prev, i, _compute_E(prev))
@@ -227,7 +214,7 @@ def _compute_E(lam):
 def compute_E(lam):
     """Non-symmetric Macdonald polynomial, monic at x^lam; the caller owns
     the returned polynomial (the cache keeps its own)."""
-    return _compute_E(check_composition(lam)).poly.copy()
+    return _compute_E(check_composition(lam)).copy()
 
 
 def _psums(mu):

@@ -14,7 +14,7 @@ monomial q^b t^a, i.e. t^u is identified with q.
 
 One function, _canonical, makes the reduced pair from a numerator and a
 denominator.  QTRat(num, den), QTRat.monomial, laurent_ratio and
-Factored.canonical all end in it; it takes a bivariate primitive-PRS gcd only
+Factored.reduce all end in it; it takes a bivariate primitive-PRS gcd only
 when the pair is not known to be coprime.  QTRat arithmetic (the oracle
 RREF, specialization) keeps its values reduced with gcds of the operands'
 parts.  The configuration sums behind f_lam and P_lam, the oscillator
@@ -24,8 +24,9 @@ binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
 in advance.  Sums then run over the lcm of the factor multisets, and one
 trial division per listed factor reduces the result, so that path takes
 no gcd at all.  The Hecke operators (xpoly) run on Laurent numerators over
-one common denominator; the raising chain (hecke) keeps that denominator
-as a Factored multiset too and reduces each coefficient by trial
+one common denominator; the raising chain and the qKZ check (hecke) find
+that denominator as a Factored multiset among the factors of the
+Haglund-Haiman-Loehr denominator and reduce each coefficient by trial
 division, while a plain XPoly comes back through laurent_ratio, one gcd
 per coefficient.  The lattice exchange relations never leave Z[q^+-1, t^+-1]
 and work on the Laurent dicts alone (_dict_mul, _dict_iadd).
@@ -36,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd
+from types import MappingProxyType
 
 from .errors import DivisionByZero, InternalError, SpecializationPole
 
@@ -635,10 +637,10 @@ def _cyclotomic_coeffs(d):
 
 @lru_cache(maxsize=None)
 def _cyclotomic(factor):
-    """Phi_d(q^a t^b) for factor = (d, a, b), as a sparse dict."""
+    """Phi_d(q^a t^b) for factor = (d, a, b), as a read-only sparse dict."""
     d, a, b = factor
-    return {(k * a, k * b): c
-            for k, c in enumerate(_cyclotomic_coeffs(d)) if c}
+    return MappingProxyType({(k * a, k * b): c
+                             for k, c in enumerate(_cyclotomic_coeffs(d)) if c})
 
 
 def binomial_factors(A, B):
@@ -744,15 +746,12 @@ class Factored:
                 den.append((f, m - k))
         return Factored(num, tuple(den))
 
-    def canonical(self):
-        """The canonical QTRat of a value that cancel() returned: no listed
-        factor divides the numerator, so _canonical needs no gcd."""
-        return QTRat._raw(*_canonical(self.num, factor_product(self.den),
-                                      coprime=True))
-
     def reduce(self):
-        """The canonical QTRat: cancel, then canonical()."""
-        return self.cancel().canonical()
+        """The canonical QTRat: after cancel() no listed factor divides the
+        numerator, so _canonical needs no gcd."""
+        x = self.cancel()
+        return QTRat._raw(*_canonical(x.num, factor_product(x.den),
+                                      coprime=True))
 
 
 def divide_out(num, factor, m):

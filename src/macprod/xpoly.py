@@ -22,8 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import IndexOutOfRange
-from .qtfield import (_ONE_D, QTRat, _dict_mul, clear_denominators,
-                      laurent_ratio, specialize as _spec_rat)
+from .qtfield import (_ONE_D, QTRat, _dict_iadd, _dict_mul,
+                      clear_denominators, laurent_ratio,
+                      specialize as _spec_rat)
 
 _ONE = QTRat(1)
 
@@ -213,21 +214,6 @@ class XPoly:
                 out[e] = v
         return XPoly._raw(self.n, out)
 
-    def eval(self, xs):
-        """Value at x_i = xs[i-1] (QTRat or int entries)."""
-        if len(xs) != self.n:
-            raise IndexOutOfRange("wrong number of values")
-        xs = [QTRat(v) if isinstance(v, int) else v for v in xs]
-        from .qtfield import zero
-        total = zero()
-        for e, c in self.terms.items():
-            v = c
-            for ei, xi in zip(e, xs):
-                if ei:
-                    v = v * xi ** ei
-            total = total + v
-        return total
-
     def eval_ones(self):
         from .qtfield import zero
         total = zero()
@@ -377,13 +363,7 @@ class XNum:
             a, b = a.times(b.den), b.times(a.den)
         out = {e: dict(c) for e, c in a.terms.items()}
         for e, c in b.terms.items():
-            acc = out.setdefault(e, {})
-            for k, v in c.items():
-                nv = acc.get(k, 0) + v
-                if nv:
-                    acc[k] = nv
-                else:
-                    del acc[k]
+            _dict_iadd(out.setdefault(e, {}), c)
         return XNum(self.n, {e: c for e, c in out.items() if c}, a.den)
 
     def times(self, m):

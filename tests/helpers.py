@@ -1,8 +1,12 @@
 """Small helpers the tests share; the package itself never needs them."""
 
+from math import factorial
+
+from macprod.compositions import check_composition, w_plus_inv
+from macprod.errors import IndexOutOfRange
 from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
-from macprod.qtfield import QTRat
+from macprod.qtfield import QTRat, zero
 
 
 def bracket(m, c=0):
@@ -43,3 +47,36 @@ def merge_family_one(mat, space=0):
         if ne:
             out.entries[pos] = ne
     return out
+
+
+def orbit_size(lam):
+    """The number of distinct rearrangements of lam."""
+    lam = check_composition(lam)
+    n = factorial(len(lam))
+    for v in set(lam):
+        n //= factorial(lam.count(v))
+    return n
+
+
+def w_plus(lam):
+    """The inverse of compositions.w_plus_inv(lam)."""
+    inv = w_plus_inv(lam)
+    out = [0] * len(inv)
+    for pos, label in enumerate(inv, start=1):
+        out[label - 1] = pos
+    return tuple(out)
+
+
+def eval_at(f, xs):
+    """The XPoly f at x_i = xs[i-1] (QTRat or int entries)."""
+    if len(xs) != f.n:
+        raise IndexOutOfRange("wrong number of values")
+    xs = [QTRat(v) if isinstance(v, int) else v for v in xs]
+    total = zero()
+    for e, c in f.terms.items():
+        v = c
+        for ei, xi in zip(e, xs):
+            if ei:
+                v = v * xi ** ei
+        total = total + v
+    return total

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from helpers import orbit_size, w_plus
 from macprod.compositions import (antidominant, conjugate, dominance_leq,
                                   dominant, eigen_exponents, multiplicities,
-                                  orbit, orbit_size, raising_word, rho_of,
-                                  star, w_plus, w_plus_inv)
+                                  orbit, raising_word, rho_of, star,
+                                  w_plus_inv)
 from macprod.errors import LengthMismatch, NotAPartition
 
 

@@ -90,6 +90,14 @@ def test_binomial_factors_values():
             binomial_factors(A, B)
 
 
+def test_cyclotomic_cache_is_read_only():
+    phi = qtfield._cyclotomic((2, 1, 1))
+    assert dict(phi) == {(0, 0): 1, (1, 1): 1}
+    with pytest.raises(TypeError):
+        phi[(0, 0)] = 5
+    assert qtfield._cyclotomic((2, 1, 1)) == {(0, 0): 1, (1, 1): 1}
+
+
 def test_zero_and_cancellation():
     assert not Factored.sum([])
     assert Factored({}).reduce() == zero()

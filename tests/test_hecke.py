@@ -7,11 +7,11 @@ import gcd_raising
 import qtrat_hecke as oracle
 
 from macprod import matprod, qtfield
-from macprod.compositions import dominance_leq, eigen_exponents
+from macprod.compositions import (antidominant, dominance_leq,
+                                  eigen_exponents)
 from macprod.errors import IndexOutOfRange, InternalError, NotRaisable
-from macprod.hecke import (Integral, _compute_E, compute_E, eigen_check,
-                           murphy_apply, raise_E, triangular_expand,
-                           verify_qkz)
+from macprod.hecke import (_compute_E, compute_E, eigen_check, murphy_apply,
+                           raise_E, triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
 from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
 from macprod.xpoly import XPoly
@@ -30,6 +30,8 @@ POOL = ((3, 1, 0, 2), (2, 3, 0, 1), (3, 0, 2, 1), (1, 2, 0, 1, 0),
         (1, 3, 0, 2), (3, 2, 0, 1))
 
 SMALL = [lam for n in (2, 3, 4) for lam in product(range(3), repeat=n)]
+# every composition with 2-5 parts in {0, 1, 2}
+FS = [lam for n in (2, 3, 4, 5) for lam in product(range(3), repeat=n)]
 
 
 def _cold_caches():
@@ -201,18 +203,31 @@ def test_factored_chain_matches_gcd_reduction():
         assert compute_E(lam) == gcd_raising.compute_E(lam, memo)
 
 
-def test_compute_E_takes_no_gcd(monkeypatch):
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The argument pairs of every _dict_gcd call made after the caches
+    are cleared."""
     calls = []
     real = qtfield._dict_gcd
     monkeypatch.setattr(qtfield, "_dict_gcd",
                         lambda a, b: calls.append((a, b)) or real(a, b))
     _cold_caches()
+    return calls
+
+
+def test_compute_E_takes_no_gcd(gcd_calls):
     for lam in POOL + ((3, 2, 1, 0, 0),):
         compute_E(lam)
-    assert calls == []
+    assert gcd_calls == []
     # the counter does see the gcd of the reference route
     gcd_raising.compute_E((1, 0), {})
-    assert calls
+    assert gcd_calls
+
+
+def test_verify_qkz_takes_no_gcd(gcd_calls):
+    for lam in ((3, 1, 0), (3, 2, 0), (2, 1, 1, 0, 0)):
+        assert verify_qkz(lam)
+    assert gcd_calls == []
 
 
 def _hhl_denominator(lam):
@@ -230,8 +245,8 @@ def _hhl_denominator(lam):
 
 
 def test_E_denominators_divide_hhl_denominator():
-    # the chain forms D_lam only at its anti-dominant base, so this is a
-    # check of the raised values
+    # the chain trial-divides by the factors of D_lam on every move; this
+    # checks the values it returns against a D_lam built independently
     for lam in ((4, 2, 1, 0), (3, 2, 1, 0, 0)):
         D = _hhl_denominator(lam)
         dens = {frozenset(c.den.items()): c.den
@@ -241,13 +256,21 @@ def test_E_denominators_divide_hhl_denominator():
             _dict_divexact(D, den)
 
 
+def test_f_denominators_divide_hhl_denominator_of_the_orbit():
+    # qkz clears every f_mu by the factors of D_delta, delta the
+    # anti-dominant member of the orbit
+    for lam in FS + list(POOL):
+        D = _hhl_denominator(antidominant(lam))
+        for c in compute_f(lam).terms.values():
+            _dict_divexact(D, c.den)
+
+
 def test_raise_E_invariants_raise_internal_error():
-    # a numerator that is not D E breaks the lead identity t (1-d) D
-    E = _compute_E((0, 1, 2))
-    bad = Integral(E.poly, E.num.times({(0, 0): 2}), E.factors)
+    # an E that is not monic at x^lam breaks the lead identity t (1-d) D
+    E = compute_E((0, 1, 2))
     with pytest.raises(InternalError):
-        raise_E((0, 1, 2), 1, bad)
-    assert raise_E((0, 1, 2), 1, E).poly == compute_E((1, 0, 2))
+        raise_E((0, 1, 2), 1, E.scale(2))
+    assert raise_E((0, 1, 2), 1, E) == compute_E((1, 0, 2))
     # 1 - q^2 t does not divide D_(0,1) = 1 - q t^2
     outside = ONE / QTRat({(0, 0): 1, (2, 1): -1})
     with pytest.raises(InternalError):
