@@ -132,10 +132,13 @@ def cmd_verify(args):
         return 1
     if target == "eigen":
         lam = _need_lambda(args)
-        if hecke.eigen_check(lam, hecke.compute_E(lam)):
+        i = hecke.eigen_failure(lam, hecke.compute_E(lam))
+        if i is None:
             print(f"verify eigen {lam}: pass")
             return 0
         print(f"verify eigen {lam}: FAIL")
+        print(f"  first failing Murphy equation: Y_{i} E != y_{i} E",
+              file=sys.stderr)
         return 1
     if target == "recursion":
         lam = _need_lambda(args)
@@ -150,9 +153,16 @@ def cmd_verify(args):
         return 1
     if target == "oracle":
         lam = _need_lambda(args)
-        same = oracles.eigen_solve_E(lam) == hecke.compute_E(lam)
-        print(f"verify oracle {lam}: {'pass' if same else 'FAIL'}")
-        return 0 if same else 1
+        got, want = oracles.eigen_solve_E(lam), hecke.compute_E(lam)
+        if got == want:
+            print(f"verify oracle {lam}: pass")
+            return 0
+        print(f"verify oracle {lam}: FAIL")
+        e = min(e for e in got.terms.keys() | want.terms.keys()
+                if got.coeff_of(e) != want.coeff_of(e))
+        print(f"  first mismatch at x^{e}: oracle {got.coeff_of(e)}, "
+              f"raising {want.coeff_of(e)}", file=sys.stderr)
+        return 1
     raise UsageError(f"cannot verify target {target!r}")
 
 

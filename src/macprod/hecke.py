@@ -70,18 +70,24 @@ def murphy_apply(i, f):
     return g if isinstance(f, XNum) else g.reduce()
 
 
-def eigen_check(lam, f):
-    """True iff f (an XPoly, or an XNum of any scale) is a joint Murphy
-    eigenfunction with the spectrum of lam: each Murphy word is applied to
-    the integral numerator N and compared exactly with q^a t^b N."""
-    lam = check_composition(lam)
-    if len(lam) != f.n or not f:
-        return False
+def eigen_failure(lam, f):
+    """The first Murphy index i at which f (an XPoly, or an XNum of any
+    scale, in len(lam) variables) fails Y_i f = q^a t^b f with q^a t^b the
+    i-th eigenvalue of lam, or None when every equation holds.  Each
+    Murphy word is applied to the integral numerator N and compared
+    exactly with q^a t^b N."""
     N = _numerator(f)
     for i, (qe, te) in enumerate(eigen_exponents(lam), start=1):
         if murphy_apply(i, N) != N.times({(qe, te): 1}):
-            return False
-    return True
+            return i
+    return None
+
+
+def eigen_check(lam, f):
+    """True iff f is a nonzero joint Murphy eigenfunction with the
+    spectrum of lam (see eigen_failure)."""
+    lam = check_composition(lam)
+    return len(lam) == f.n and bool(f) and eigen_failure(lam, f) is None
 
 
 def qkz_failures(lam_plus):

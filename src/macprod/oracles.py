@@ -1,9 +1,14 @@
 """Independent ground truths for validating the trace pipeline.
 
 Nothing here goes through the lattice/trace construction: E comes from
-solving the Murphy eigen-equations as a linear system, Schur from tableau
-enumeration, Hall-Littlewood from the symmetrization formula, exclusion
-process weights from a generator null space, traces from partial sums.
+the Murphy eigen-equations, solved by triangular back-substitution over
+factored denominators, Schur from tableau enumeration, Hall-Littlewood
+from the symmetrization formula, exclusion process weights from a
+generator null space, traces from partial sums.  The eigen solve shares
+only murphy_apply with the raising route, and it takes no gcd: the
+Murphy elements act on monomials triangularly (Cherednik, "Nonsymmetric
+Macdonald polynomials", IMRN 1995), with unit-monomial diagonals, so
+every pivot is a monomial times a binomial 1 - q^A t^B.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from .errors import (InternalError, InternalNonDivisibility, NoSolution,
                      NonUnique, ReducibleChain)
 from .hecke import murphy_apply
 from .oscillator import parse_word
-from .qtfield import QTRat, one
-from .xpoly import XPoly
+from .qtfield import (_ONE_D, Factored, QTRat, _dict_iadd, _dict_mul, one,
+                      over_lcm)
+from .xpoly import XNum, XPoly
 
 _ONE = one()
 _T = QTRat.monomial(te=1)
@@ -60,63 +66,131 @@ def _degree_slice(n, d):
     return out
 
 
-def _solve_unique(rows, ncols):
-    """[A|b] rows -> solution vector, or NoSolution/NonUnique."""
-    piv = _rref(rows)
-    for row in rows:
-        if not any(row[:ncols]) and row[ncols]:
-            raise NoSolution("inconsistent eigen system")
-    if piv and piv[-1] == ncols:
-        raise NoSolution("inconsistent eigen system")
-    if len(piv) < ncols:
-        raise NonUnique("eigen system is underdetermined")
-    sol = [None] * ncols
-    for r, c in enumerate(piv):
-        sol[c] = rows[r][ncols]
-    return sol
+def _murphy_table(lam, support):
+    """(images, diag): images[i, nu] is the Murphy image Y_i x^nu as a dict
+    of integral Laurent coefficients, and diag[nu] the tuple of its
+    diagonal exponents (q_exp, t_exp) over i.  Raises InternalError unless
+    every image stays in the support and every diagonal entry is a unit
+    monomial, with lam's diagonal its spectrum."""
+    n = len(lam)
+    inside = set(support)
+    images, diag = {}, {}
+    for nu in support:
+        exps = []
+        for i in range(1, n + 1):
+            img = murphy_apply(i, XNum(n, {nu: _ONE_D}, _ONE_D)).terms
+            if not img.keys() <= inside:
+                raise InternalError(f"Y_{i} x^{nu} leaves the support of {lam}")
+            d = img.get(nu, {})
+            if list(d.values()) != [1]:
+                raise InternalError(f"Y_{i} x^{nu} has diagonal entry {d}, "
+                                    f"not a unit monomial")
+            images[i, nu] = img
+            exps.append(next(iter(d)))
+        diag[nu] = tuple(exps)
+    if diag[lam] != eigen_exponents(lam):
+        raise InternalError(f"the diagonal at x^{lam} is not its spectrum")
+    return images, diag
+
+
+def _topological(support, images):
+    """The support in an order where every off-diagonal edge nu -> kappa
+    of the image table runs forward; InternalError on a cycle."""
+    succ = {nu: {} for nu in support}
+    for (_, nu), img in images.items():
+        for kappa in img:
+            if kappa != nu:
+                succ[nu][kappa] = None
+    indeg = dict.fromkeys(support, 0)
+    for out in succ.values():
+        for kappa in out:
+            indeg[kappa] += 1
+    ready = [nu for nu in support if not indeg[nu]]
+    order = []
+    while ready:
+        nu = ready.pop()
+        order.append(nu)
+        for kappa in succ[nu]:
+            indeg[kappa] -= 1
+            if not indeg[kappa]:
+                ready.append(kappa)
+    if len(order) != len(support):
+        raise InternalError("the Murphy image table has a cycle")
+    return order
+
+
+def _inverse_gap(y, d):
+    """1 / (Y - D) for the distinct unit monomials Y = q^y0 t^y1 and
+    D = q^d0 t^d1, given as exponent pairs y and d, as a Factored value:
+    a monomial over one binomial 1 - q^A t^B with A, B >= 0."""
+    A, B = d[0] - y[0], d[1] - y[1]
+    if A >= 0 and B >= 0:
+        return Factored({(-y[0], -y[1]): 1}) * Factored.binomial(A, B, -1)
+    if A <= 0 and B <= 0:
+        return Factored({(-d[0], -d[1]): -1}) * \
+            Factored.binomial(-A, -B, -1)
+    raise InternalError(f"the eigenvalue gap between exponents {y} and "
+                        f"{d} is a mixed-sign binomial")
 
 
 def eigen_solve_E(lam):
     """E_lam as the unique monic solution of the Murphy eigen-equations.
 
     The ansatz support is the degree slice cut to sorted shapes dominated
-    by lam+; on inconsistency it is widened to the whole slice before
-    giving up."""
+    by lam+.  Y_i x^nu is nu's diagonal monomial d_i(nu) times x^nu plus
+    terms at other exponents of the support, along an acyclic graph, so
+    the system is solved by triangular back-substitution: c_lam = 1 and,
+    in topological order, c_kappa = -sum_nu A_i[kappa, nu] c_nu /
+    (d_i(kappa) - y_i(lam)) at the first i where kappa's diagonal differs
+    from lam's spectrum.  Every gap is a monomial times a binomial
+    1 - q^A t^B, so the coefficients stay Factored and no gcd is taken.
+    An exponent other than lam whose diagonal repeats lam's spectrum
+    raises NonUnique; a residual of any equation, for any i, raises
+    NoSolution."""
     lam = check_composition(lam)
     n, d = len(lam), sum(lam)
     shape = dominant(lam)
-    spectrum = [QTRat.monomial(qe=qe, te=te)
-                for qe, te in eigen_exponents(lam)]
-    slice_all = _degree_slice(n, d)
-    narrow = [e for e in slice_all
-              if dominance_leq(dominant(e), shape)]
-    for support in (narrow, slice_all):
-        colidx = {e: j for j, e in enumerate(support)}
-        ncols = len(support)
-        zero = _ONE - _ONE
-        eqs = {}
-        for i in range(1, n + 1):
-            for nu in support:
-                j = colidx[nu]
-                acted = murphy_apply(i, XPoly.monomial(nu, _ONE))
-                for kappa, c in acted.terms.items():
-                    row = eqs.setdefault((i, kappa), [zero] * (ncols + 1))
-                    row[j] = row[j] + c
-                row = eqs.setdefault((i, nu), [zero] * (ncols + 1))
-                row[j] = row[j] - spectrum[i - 1]
-        rows = [r for r in eqs.values() if any(r)]
-        norm = [zero] * (ncols + 1)
-        norm[colidx[lam]] = _ONE
-        norm[ncols] = _ONE
-        rows.append(norm)
-        try:
-            sol = _solve_unique(rows, ncols)
-        except NoSolution:
-            if support is narrow:
-                continue
-            raise
-        return XPoly._raw(n, {e: c for e, c in zip(support, sol) if c})
-    raise NoSolution("unreachable")
+    support = [e for e in _degree_slice(n, d)
+               if dominance_leq(dominant(e), shape)]
+    images, diag = _murphy_table(lam, support)
+    spectrum = diag[lam]
+    gap_index = {}
+    for nu in support:
+        if nu != lam:
+            k = next((k for k in range(n) if diag[nu][k] != spectrum[k]),
+                     None)
+            if k is None:
+                raise NonUnique(f"x^{nu} repeats the spectrum of {lam}")
+            gap_index[nu] = k
+    order = _topological(support, images)
+    column = {}
+    for (i, nu), img in images.items():
+        for kappa, a in img.items():
+            if kappa != nu:
+                column.setdefault((i, kappa), []).append((nu, a))
+    coeffs = {lam: Factored(_ONE_D)}
+    for kappa in order[order.index(lam) + 1:]:
+        k = gap_index[kappa]
+        s = Factored.sum(Factored(a) * coeffs[nu]
+                         for nu, a in column.get((k + 1, kappa), ())
+                         if nu in coeffs)
+        if s:
+            gap = _inverse_gap(spectrum[k], diag[kappa][k])
+            coeffs[kappa] = (s * gap).cancel()
+    _, nums = over_lcm(list(coeffs.values()))
+    cleared = dict(zip(coeffs, nums))
+    for i in range(1, n + 1):
+        minus_y = {spectrum[i - 1]: -1}
+        resid = {}
+        for nu, c in cleared.items():
+            for kappa, a in images[i, nu].items():
+                _dict_iadd(resid.setdefault(kappa, {}), _dict_mul(a, c))
+            _dict_iadd(resid.setdefault(nu, {}), _dict_mul(minus_y, c))
+        bad = next((kappa for kappa, r in resid.items() if r), None)
+        if bad is not None:
+            raise NoSolution(f"the eigen equation of Y_{i} fails at "
+                             f"x^{bad} for {lam}")
+    return XPoly._raw(n, {nu: c.reduce() for nu, c in coeffs.items()})
 
 
 def schur(lam, n):

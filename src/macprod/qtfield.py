@@ -15,10 +15,11 @@ monomial q^b t^a, i.e. t^u is identified with q.
 One function, _canonical, makes the reduced pair from a numerator and a
 denominator.  QTRat(num, den), QTRat.monomial, laurent_ratio and
 Factored.reduce all end in it; it takes a bivariate primitive-PRS gcd only
-when the pair is not known to be coprime.  QTRat arithmetic (the oracle
-RREF, specialization) keeps its values reduced with gcds of the operands'
-parts.  The configuration sums behind f_lam and P_lam, the oscillator
-traces they multiply and the recursion prefactor use Factored values
+when the pair is not known to be coprime.  QTRat arithmetic (the
+Schur and Hall-Littlewood oracles, specialization) keeps its values
+reduced with gcds of the operands' parts.  The configuration sums behind
+f_lam and P_lam, the oscillator traces they multiply, the recursion
+prefactor and the eigen oracle's back-substitution use Factored values
 instead (the last section): every denominator there is a product of
 binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
 in advance.  Sums then run over the lcm of the factor multisets, and one

@@ -9,7 +9,7 @@ import io
 import json
 from pathlib import Path
 
-from macprod import hecke, matprod
+from macprod import hecke, matprod, oracles
 from macprod.cli import main
 from macprod.errors import InternalNonPolynomial
 from macprod.oscillator import parse_word, trace_closed_form
@@ -97,6 +97,41 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "eigen", "--lambda", "0,1")[0] == 0
     assert run(capsys, "verify", "recursion", "--lambda", "2,0,1")[0] == 0
     assert run(capsys, "verify", "oracle", "--lambda", "1,1")[0] == 0
+
+
+def test_verify_oracle_on_five_parts(capsys):
+    # the row-reduction oracle did not finish this orbit of 10 in 90 s
+    code, out, _ = run(capsys, "verify", "oracle", "--lambda", "2,0,0,2,2")
+    assert code == 0
+    assert out == "verify oracle (2, 0, 0, 2, 2): pass\n"
+
+
+def test_verify_oracle_failure_locates_the_monomial(capsys, monkeypatch):
+    real = oracles.eigen_solve_E
+    monkeypatch.setattr(oracles, "eigen_solve_E",
+                        lambda lam: real(lam) + XPoly.monomial((0, 1)))
+    code, out, err = run(capsys, "verify", "oracle", "--lambda", "1,0")
+    assert code == 1
+    assert out == "verify oracle (1, 0): FAIL\n"
+    want = hecke.compute_E((1, 0)).coeff_of((0, 1))
+    got = (real((1, 0)) + XPoly.monomial((0, 1))).coeff_of((0, 1))
+    assert err == (f"  first mismatch at x^(0, 1): oracle {got}, "
+                   f"raising {want}\n")
+
+
+def test_verify_eigen_failure_locates_the_murphy_index(capsys, monkeypatch):
+    E = hecke.compute_E((0, 1, 0))
+    real = hecke.murphy_apply
+
+    def skewed(i, f):
+        g = real(i, f)
+        return g.times({(0, 0): 2}) if i == 2 else g
+    monkeypatch.setattr(hecke, "compute_E", lambda lam: E)
+    monkeypatch.setattr(hecke, "murphy_apply", skewed)
+    code, out, err = run(capsys, "verify", "eigen", "--lambda", "0,1,0")
+    assert code == 1
+    assert out == "verify eigen (0, 1, 0): FAIL\n"
+    assert err == "  first failing Murphy equation: Y_2 E != y_2 E\n"
 
 
 def test_verify_lattice_rank_below_one_exits_2(capsys):

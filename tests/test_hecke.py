@@ -13,6 +13,7 @@ from macprod.errors import IndexOutOfRange, InternalError, NotRaisable
 from macprod.hecke import (_compute_E, compute_E, eigen_check, murphy_apply,
                            raise_E, triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
+from macprod.oracles import eigen_solve_E
 from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
 from macprod.xpoly import XPoly
 
@@ -222,6 +223,15 @@ def test_compute_E_takes_no_gcd(gcd_calls):
     # the counter does see the gcd of the reference route
     gcd_raising.compute_E((1, 0), {})
     assert gcd_calls
+
+
+def test_eigen_solve_E_takes_no_gcd(gcd_calls):
+    # the oracle compositions of the certify benchmark pool, a 5-part
+    # one and the frontier shape (4, 2, 1, 0)
+    for lam in ((1, 2, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2), (2, 0, 1, 1),
+                (1, 1, 0, 2), (2, 0, 0, 2, 2), (4, 2, 1, 0)):
+        eigen_solve_E(lam)
+    assert gcd_calls == []
 
 
 def test_verify_qkz_takes_no_gcd(gcd_calls):

@@ -1,9 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import oracle_faults
+import rref_oracle
 from helpers import net_change
+from macprod import oracles as om
 from macprod.errors import ReducibleChain
 from macprod.hecke import compute_E
 from macprod.matprod import compute_P, compute_f
@@ -27,9 +35,40 @@ def test_eigen_solve_hand_cases():
 
 
 def test_eigen_solve_matches_raising():
-    shapes = [(2, 0), (0, 2), (1, 2), (2, 1, 0), (1, 0, 2), (0, 1, 3)]
+    # a few shapes with a part 3, and every composition with 1-5 parts in
+    # {0, 1, 2}
+    shapes = [(0, 1, 3), (3, 1, 0, 2)] + \
+        [lam for n in (1, 2, 3, 4, 5) for lam in product(range(3), repeat=n)]
     for lam in shapes:
         assert eigen_solve_E(lam) == compute_E(lam), lam
+
+
+def test_eigen_solve_matches_rref_reference():
+    # every composition with 1-4 parts in {0, 1, 2}
+    for n in (1, 2, 3, 4):
+        for lam in product(range(3), repeat=n):
+            assert eigen_solve_E(lam) == rref_oracle.eigen_solve_E(lam), lam
+
+
+@pytest.mark.parametrize("name", list(oracle_faults.FAULTS))
+def test_eigen_solve_invariants_raise(monkeypatch, name):
+    fake, error = oracle_faults.FAULTS[name]
+    monkeypatch.setattr(om, "murphy_apply", fake)
+    with pytest.raises(error):
+        eigen_solve_E(oracle_faults.LAM)
+
+
+def test_eigen_solve_invariants_raise_under_optimize():
+    # the checks are typed raises, not asserts, so -O keeps them
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", str(root / "tests" / "oracle_faults.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        f"{name}:{error.__name__}"
+        for name, (_, error) in oracle_faults.FAULTS.items()]
 
 
 def test_schur_values():
