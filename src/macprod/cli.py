@@ -132,7 +132,8 @@ def cmd_verify(args):
         return 1
     if target == "eigen":
         lam = _need_lambda(args)
-        i = hecke.eigen_failure(lam, hecke.compute_E(lam))
+        i = hecke.eigen_failure(lam,
+                                hecke._integral(lam, hecke.compute_E(lam))[0])
         if i is None:
             print(f"verify eigen {lam}: pass")
             return 0

@@ -7,14 +7,8 @@ non-symmetric Macdonald polynomials; the anti-dominant ones coincide with
 the trace polynomials f_delta, and the rest are reached by Baxterised
 raising moves.
 
-Every raising move is certified by the exact Murphy eigen check, run on
-the denominator-cleared numerator D f (xpoly.XNum): each Murphy word acts
-on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
-times D f.  Scaling by a nonzero D is injective, so this is the full
-symbolic check over Q(q, t), with no gcd inside a word.
-
-The raising chain and the qKZ check take no gcd either.  Their
-numerators come from one place, _integral: by the theorem of
+The operators act only on a denominator-cleared numerator D f
+(xpoly.XNum), and there is one way to clear: _integral.  By the theorem of
 Haglund-Haiman-Loehr the denominator
 
     D_lam = prod over cells u of dg(lam) of (1 - q^(leg(u)+1) t^(arm(u)+1))
@@ -25,13 +19,20 @@ anti-dominant delta clears every f_mu of its orbit too.  So each distinct
 coefficient denominator is trial-divided by the cyclotomic factors
 Phi_d(q^a t^b) of D_lam, and the numerator P = D E is taken over the lcm
 D of the factor multisets found (qtfield.Factored), which is usually far
-smaller than D_lam.  A raising move forms Q = (1 - d) T~_i P + (1 - t) P,
-whose coefficient at the target monomial is exactly t (1 - d) D (the
-lead identity, checked on every move), so each coefficient of the raised
-E is Q_e / (t (1 - d) D) over a known factor multiset and reduces by
-trial division.  The chain memoises each E_lam as a plain XPoly.  A
-coefficient that D_lam does not clear, on any move or any qKZ member, or
-a move whose lead identity fails, raises InternalError."""
+smaller than D_lam.  Clearing takes no gcd, and neither do the raising
+chain, the qKZ check and verify eigen built on it.
+
+Every Murphy eigen check runs on such a numerator: each Murphy word acts
+on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
+times D f.  Scaling by a nonzero D is injective, so this is the full
+symbolic check over Q(q, t).  A raising move forms
+Q = (1 - d) T~_i P + (1 - t) P, whose coefficient at the target monomial
+is exactly t (1 - d) D (the lead identity, checked on every move), so
+each coefficient of the raised E is Q_e / (t (1 - d) D) over a known
+factor multiset and reduces by trial division.  The chain memoises each
+E_lam as a plain XPoly.  A coefficient that D_lam does not clear, on any
+move, any qKZ member or in verify eigen, or a move whose lead identity
+fails, raises InternalError."""
 
 from __future__ import annotations
 
@@ -48,35 +49,26 @@ from .qtfield import (Factored, _dict_mul, binomial_factors, divide_out,
 from .xpoly import XNum, XPoly
 
 
-def _numerator(f):
-    return f if isinstance(f, XNum) else f.numerator()
-
-
-def murphy_apply(i, f):
-    """Murphy element number i acting on f: the chain of inverse
-    generators 1..i-1, the q-shift, then generators n-1 down to i.
-
-    An XNum stays integral; an XPoly is cleared of denominators once and
-    the result reduced once."""
-    n = f.n
+def murphy_apply(i, N):
+    """Murphy element number i acting on the XNum N: the chain of inverse
+    generators 1..i-1, the q-shift, then generators n-1 down to i.  The
+    result stays integral over the same denominator."""
+    n = N.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"murphy index {i} outside 1..{n}")
-    g = _numerator(f)
     for j in range(i - 1, 0, -1):
-        g = g.demazure_T_inv(j)
-    g = g.shift_omega()
+        N = N.demazure_T_inv(j)
+    N = N.shift_omega()
     for j in range(n - 1, i - 1, -1):
-        g = g.demazure_T(j)
-    return g if isinstance(f, XNum) else g.reduce()
+        N = N.demazure_T(j)
+    return N
 
 
-def eigen_failure(lam, f):
-    """The first Murphy index i at which f (an XPoly, or an XNum of any
-    scale, in len(lam) variables) fails Y_i f = q^a t^b f with q^a t^b the
-    i-th eigenvalue of lam, or None when every equation holds.  Each
-    Murphy word is applied to the integral numerator N and compared
-    exactly with q^a t^b N."""
-    N = _numerator(f)
+def eigen_failure(lam, N):
+    """The first Murphy index i at which the XNum N (of any scale, in
+    len(lam) variables) fails Y_i N = q^a t^b N with q^a t^b the i-th
+    eigenvalue of lam, or None when every equation holds.  Each Murphy
+    word is compared exactly with q^a t^b N."""
     for i, (qe, te) in enumerate(eigen_exponents(lam), start=1):
         if murphy_apply(i, N) != N.times({(qe, te): 1}):
             return i
@@ -84,10 +76,24 @@ def eigen_failure(lam, f):
 
 
 def eigen_check(lam, f):
-    """True iff f is a nonzero joint Murphy eigenfunction with the
-    spectrum of lam (see eigen_failure)."""
+    """True iff the XPoly f is a nonzero joint Murphy eigenfunction with
+    the spectrum of lam.
+
+    Such an f is c E_lam with c = f[x^lam] nonzero, since E_lam spans the
+    eigenspace and is monic at x^lam.  So f / c must be cleared by the HHL
+    denominator D_lam (False otherwise, with no Murphy word run), and its
+    numerator over D_lam's factors goes to eigen_failure."""
     lam = check_composition(lam)
-    return len(lam) == f.n and bool(f) and eigen_failure(lam, f) is None
+    c = f.coeff_of(lam)
+    if len(lam) != f.n or not c:
+        return False
+    if not c.is_one():
+        f = f.scale(c.inverse())
+    try:
+        N = _integral(lam, f)[0]
+    except InternalError:
+        return False
+    return eigen_failure(lam, N) is None
 
 
 def qkz_failures(lam_plus):
@@ -176,11 +182,11 @@ def raise_E(lam, i, E):
     spectral-vector quotient of the two swapped positions.  The XPoly E
     is cleared to P = D E, its denominators found among the factors of
     the HHL denominator D_lam (InternalError otherwise).  On P the move
-    forms Q = (1-d) T~_i P + (1-t) P and certifies Q by the exact eigen
-    check (which ignores scale).  Since E is monic at x^lam, Q's
-    coefficient at the target monomial is t (1-d) D; that lead identity
-    is checked, and each Q_e / (t (1-d) D) is reduced by trial division
-    over the factors of 1-d and D into the XPoly E_{s_i lam}."""
+    forms Q = (1-d) T~_i P + (1-t) P and certifies Q by eigen_failure
+    (which ignores scale).  Since E is monic at x^lam, Q's coefficient at
+    the target monomial is t (1-d) D; that lead identity is checked, and
+    each Q_e / (t (1-d) D) is reduced by trial division over the factors
+    of 1-d and D into the XPoly E_{s_i lam}."""
     lam = check_composition(lam)
     n = len(lam)
     if not 1 <= i <= n - 1:
@@ -194,7 +200,7 @@ def raise_E(lam, i, E):
     Q = P.demazure_T(i).times({(0, 0): 1, (a, b): -1}) + \
         P.times({(0, 0): 1, (0, 1): -1})
     lead = Q.terms.get(target)
-    if not lead or not eigen_check(target, Q):
+    if not lead or eigen_failure(target, Q) is not None:
         raise BranchResolutionFailure(
             f"the spectral branch fails at {lam}, i={i}")
     if lead != _dict_mul({(0, 1): 1, (a, b + 1): -1}, P.den):

@@ -13,24 +13,23 @@ a symbol u never appears here: a power t^(a + b*u) is stored as the
 monomial q^b t^a, i.e. t^u is identified with q.
 
 One function, _canonical, makes the reduced pair from a numerator and a
-denominator.  QTRat(num, den), QTRat.monomial, laurent_ratio and
-Factored.reduce all end in it; it takes a bivariate primitive-PRS gcd only
-when the pair is not known to be coprime.  QTRat arithmetic (the
-Schur and Hall-Littlewood oracles, specialization) keeps its values
-reduced with gcds of the operands' parts.  The configuration sums behind
-f_lam and P_lam, the oscillator traces they multiply, the recursion
-prefactor and the eigen oracle's back-substitution use Factored values
+denominator.  QTRat(num, den), QTRat.monomial and Factored.reduce all end
+in it; it takes a bivariate primitive-PRS gcd only when the pair is not
+known to be coprime.  QTRat arithmetic (the Schur and Hall-Littlewood
+oracles, specialization) keeps its values reduced with gcds of the
+operands' parts.  The configuration sums behind f_lam and P_lam, the
+oscillator traces they multiply, the recursion prefactor, the eigen
+oracle's back-substitution and the Hecke layer use Factored values
 instead (the last section): every denominator there is a product of
 binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
 in advance.  Sums then run over the lcm of the factor multisets, and one
 trial division per listed factor reduces the result, so that path takes
 no gcd at all.  The Hecke operators (xpoly) run on Laurent numerators over
-one common denominator; the raising chain and the qKZ check (hecke) find
-that denominator as a Factored multiset among the factors of the
-Haglund-Haiman-Loehr denominator and reduce each coefficient by trial
-division, while a plain XPoly comes back through laurent_ratio, one gcd
-per coefficient.  The lattice exchange relations never leave Z[q^+-1, t^+-1]
-and work on the Laurent dicts alone (_dict_mul, _dict_iadd).
+one common denominator, which hecke finds as a Factored multiset among
+the factors of the Haglund-Haiman-Loehr denominator; there is no other
+way to clear an x-polynomial.  The lattice exchange relations never leave
+Z[q^+-1, t^+-1] and work on the Laurent dicts alone (_dict_mul,
+_dict_iadd).
 """
 
 from __future__ import annotations
@@ -279,13 +278,6 @@ def _dict_divexact(a: dict, b: dict) -> dict:
             else:
                 work.pop(k, None)
     return quot
-
-
-def _dict_lcm(a: dict, b: dict) -> dict:
-    """A least common multiple in Z[q, t], up to sign."""
-    if a == b:
-        return a
-    return _dict_mul(a, _dict_divexact(b, _dict_gcd(a, b)))
 
 
 def _canonical(num: dict, den: dict, coprime=False):
@@ -538,29 +530,6 @@ class QTRat:
         if self.den == _ONE_D:
             return ns
         return r"\frac{%s}{%s}" % (ns, _poly_format(self.den, latex=True))
-
-
-def clear_denominators(values):
-    """(D, nums) for a sequence of QTRat values: D is the lcm of their
-    denominators and nums[k] = D * values[k] as a polynomial dict.  Takes
-    one gcd per distinct denominator."""
-    values = list(values)
-    keys = [frozenset(c.den.items()) for c in values]
-    dens = {k: c.den for k, c in zip(keys, values)}
-    D = _ONE_D
-    for d in dens.values():
-        D = _dict_lcm(D, d)
-    cof = {k: _dict_divexact(D, d) for k, d in dens.items()}
-    nums = [c.num if cof[k] == _ONE_D else _dict_mul(c.num, cof[k])
-            for c, k in zip(values, keys)]
-    return D, nums
-
-
-def laurent_ratio(num: dict, den: dict) -> QTRat:
-    """The canonical QTRat num/den for Laurent dicts over Z[q^+-1, t^+-1]."""
-    if not den:
-        raise DivisionByZero("zero Laurent denominator")
-    return QTRat._raw(*_canonical(num, den))
 
 
 _ZERO = QTRat(0)

@@ -8,13 +8,14 @@ which satisfies (T~_i - t)(T~_i + 1) = 0 and the braid relations, and the
 cyclic shift (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1}).
 
 T~_i has coefficients in Z[t], its inverse in Z[t, 1/t], and the shift
-only multiplies by powers of q.  So the operators run on a
+only multiplies by powers of q.  So the operators are defined only on a
 denominator-cleared numerator (XNum): D f with coefficients in
-Z[q^+-1, t^+-1], D a common denominator of f's coefficients.  Clearing
-takes one gcd per distinct denominator, each operator is exact ring
-arithmetic applied monomial by monomial from closed forms, and the way
-back reduces each coefficient once.  The XPoly methods of the same names
-are wrappers around that one path.
+Z[q^+-1, t^+-1] and D a common denominator of f's coefficients, where
+each operator is exact ring arithmetic applied monomial by monomial from
+closed forms.  An XPoly reaches them only through hecke._integral, which
+finds D among the factors of the Haglund-Haiman-Loehr denominator and
+takes no gcd; the way back is the caller's, by trial division over those
+factors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import lru_cache
 
 from .errors import IndexOutOfRange
 from .qtfield import (_ONE_D, QTRat, _dict_iadd, _dict_mul,
-                      clear_denominators, laurent_ratio,
                       specialize as _spec_rat)
 
 _ONE = QTRat(1)
@@ -50,8 +50,10 @@ class XPoly:
         return p
 
     def copy(self):
-        """The same polynomial with its own terms dict."""
-        return XPoly._raw(self.n, dict(self.terms))
+        """The same polynomial, sharing no dict with this one: its own
+        terms dict and its own coefficient dicts."""
+        return XPoly._raw(self.n, {e: QTRat._raw(dict(c.num), dict(c.den))
+                                   for e, c in self.terms.items()})
 
     @classmethod
     def zero(cls, n):
@@ -181,28 +183,6 @@ class XPoly:
             out[tuple(f)] = c
         return XPoly._raw(self.n, out)
 
-    def numerator(self):
-        """D f as an XNum, D the lcm of the coefficient denominators: one
-        gcd per distinct denominator, none per coefficient."""
-        D, nums = clear_denominators(self.terms.values())
-        return XNum(self.n, dict(zip(self.terms, nums)), D)
-
-    def divided_difference(self, i):
-        """(f - s_i f)/(x_i - x_{i+1})."""
-        return self.numerator().divided_difference(i).reduce()
-
-    def demazure_T(self, i):
-        """T~_i f = t f - (t x_i - x_{i+1}) (f - s_i f)/(x_i - x_{i+1})."""
-        return self.numerator().demazure_T(i).reduce()
-
-    def demazure_T_inv(self, i):
-        """T~_i^{-1} f = (T~_i f - (t - 1) f)/t."""
-        return self.numerator().demazure_T_inv(i).reduce()
-
-    def shift_omega(self):
-        """f(x) -> f(q x_n, x_1, .., x_{n-1})."""
-        return self.numerator().shift_omega().reduce()
-
     def is_symmetric(self):
         return all(self.apply_s(i) == self for i in range(1, self.n))
 
@@ -293,30 +273,22 @@ class XPoly:
 # Writing d = |a - b|, (hi, lo) = (max, min) and I for the interior points
 # (hi - j, lo + j), 0 < j < d, the closed forms are
 #
-#   divided difference   a > b:  sum over (a - 1 - j, b + j), 0 <= j < d
-#                        a < b:  minus the same sum with a and b swapped
-#   T~_i                 a > b:  x^(b,a) + (1 - t) I
-#                        a < b:  t x^(b,a) + (t - 1) (I + x^(a,b))
-#   T~_i^{-1}            a > b:  x^(b,a)/t + (1/t - 1) (I + x^(a,b))
-#                        a < b:  x^(b,a) + (1 - 1/t) I
+#   T~_i         a > b:  x^(b,a) + (1 - t) I
+#                a < b:  t x^(b,a) + (t - 1) (I + x^(a,b))
+#   T~_i^{-1}    a > b:  x^(b,a)/t + (1/t - 1) (I + x^(a,b))
+#                a < b:  x^(b,a) + (1 - 1/t) I
 #
-# and on a = b the divided difference vanishes, T~_i acts by t and its
-# inverse by 1/t.  The T~ forms follow from the definition above; the
-# inverse ones from T~^{-1} = (T~ - (t - 1))/t.
+# and on a = b T~_i acts by t and its inverse by 1/t.  The T~ forms follow
+# from the definition above; the inverse ones from T~^{-1} = (T~ - (t - 1))/t.
 
 @lru_cache(maxsize=None)
 def _image(kind, a, b):
     """Image of x_i^a x_{i+1}^b as ((a', b'), ((t_exp, c), ..)) pairs: the
     monomial x_i^a' x_{i+1}^b' times sum c t^t_exp."""
     if a == b:
-        return {"dd": (), "T": (((a, b), ((1, 1),)),),
-                "Tinv": (((a, b), ((-1, 1),)),)}[kind]
+        return (((a, b), ((1 if kind == "T" else -1, 1),)),)
     hi, lo = max(a, b), min(a, b)
     inner = [(hi - j, lo + j) for j in range(1, hi - lo)]
-    if kind == "dd":
-        sign = 1 if a > b else -1
-        return tuple(((hi - 1 - j, lo + j), ((0, sign),))
-                     for j in range(hi - lo))
     t_min_1, one_min_t = ((1, 1), (0, -1)), ((0, 1), (1, -1))
     inv_min_1, one_min_inv = ((-1, 1), (0, -1)), ((0, 1), (-1, -1))
     if kind == "T" and a > b:
@@ -398,9 +370,6 @@ class XNum:
                             del acc[kk]
         return XNum(self.n, {e: c for e, c in out.items() if c}, self.den)
 
-    def divided_difference(self, i):
-        return self._apply("dd", i)
-
     def demazure_T(self, i):
         return self._apply("T", i)
 
@@ -414,8 +383,3 @@ class XNum:
             out[e[1:] + (e[0],)] = \
                 {(qe + e[0], te): v for (qe, te), v in c.items()} if e[0] else c
         return XNum(self.n, out, self.den)
-
-    def reduce(self):
-        """The XPoly value, each coefficient reduced once."""
-        return XPoly._raw(self.n, {e: laurent_ratio(c, self.den)
-                                   for e, c in self.terms.items()})

@@ -2,15 +2,16 @@
 denominator, kept as a test reference.
 
 Each move clears the denominators of E_lam with one gcd per distinct
-denominator (`XPoly.numerator`), forms Q = (1-d) T~_i P + (1-t) P,
+denominator (`helpers.numerator`), forms Q = (1-d) T~_i P + (1-t) P,
 certifies it by the Murphy eigen check and divides by Q's coefficient at
-the target monomial with one gcd per coefficient (`XNum.reduce`).  It
+the target monomial with one gcd per coefficient (`helpers.value`).  It
 trusts no lead identity and no denominator bound, so it checks both.
 """
 
+from helpers import numerator, value
 from macprod.compositions import raising_word, rho_of
 from macprod.errors import BranchResolutionFailure
-from macprod.hecke import eigen_check
+from macprod.hecke import eigen_failure
 from macprod.matprod import compute_f
 from macprod.xpoly import XNum
 
@@ -21,14 +22,14 @@ def raise_E(lam, i, E):
     target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     rho2 = rho_of(lam)
     d = (lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2)
-    P = E.numerator()
+    P = numerator(E)
     Q = P.demazure_T(i).times({(0, 0): 1, d: -1}) + \
         P.times({(0, 0): 1, (0, 1): -1})
     lead = Q.terms.get(target)
-    if not lead or not eigen_check(target, Q):
+    if not lead or eigen_failure(target, Q) is not None:
         raise BranchResolutionFailure(
             f"the spectral branch fails at {lam}, i={i}")
-    return XNum(n, Q.terms, lead).reduce()
+    return value(XNum(n, Q.terms, lead))
 
 
 def compute_E(lam, memo):

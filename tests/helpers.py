@@ -2,11 +2,13 @@
 
 from math import factorial
 
+from macprod import hecke, qtfield
 from macprod.compositions import check_composition, w_plus_inv
 from macprod.errors import IndexOutOfRange
 from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
-from macprod.qtfield import QTRat, zero
+from macprod.qtfield import _ONE_D, QTRat, _dict_divexact, _dict_mul, zero
+from macprod.xpoly import XNum, XPoly
 
 
 def bracket(m, c=0):
@@ -80,3 +82,41 @@ def eval_at(f, xs):
                 v = v * xi ** ei
         total = total + v
     return total
+
+
+def numerator(f):
+    """D f as an XNum for any XPoly f, D the lcm of its coefficient
+    denominators: one gcd per distinct denominator.  The package clears
+    only by the HHL denominator (hecke._integral); this works for any f."""
+    D = _ONE_D
+    for den in {frozenset(c.den.items()): c.den
+                for c in f.terms.values()}.values():
+        if den != D:
+            D = _dict_mul(D, _dict_divexact(den, qtfield._dict_gcd(D, den)))
+    return XNum(f.n, {e: _dict_mul(c.num, _dict_divexact(D, c.den))
+                      for e, c in f.terms.items()}, D)
+
+
+def value(N):
+    """The XPoly N.terms / N.den, each coefficient reduced by a gcd."""
+    return XPoly._raw(N.n, {e: QTRat(c, N.den) for e, c in N.terms.items()})
+
+
+def demazure_T(f, i):
+    """T~_i on an XPoly, through its numerator."""
+    return value(numerator(f).demazure_T(i))
+
+
+def demazure_T_inv(f, i):
+    """T~_i^{-1} on an XPoly, through its numerator."""
+    return value(numerator(f).demazure_T_inv(i))
+
+
+def shift_omega(f):
+    """f(x) -> f(q x_n, x_1, .., x_{n-1}) on an XPoly."""
+    return value(numerator(f).shift_omega())
+
+
+def murphy_apply(i, f):
+    """Murphy element number i on an XPoly, through its numerator."""
+    return value(hecke.murphy_apply(i, numerator(f)))

@@ -8,10 +8,10 @@ shapes dominated by lam+) is widened to the whole degree slice when the
 system is inconsistent there, and uniqueness is read off the pivots.
 """
 
+from helpers import murphy_apply
 from macprod.compositions import (check_composition, dominance_leq,
                                   dominant, eigen_exponents)
 from macprod.errors import NoSolution, NonUnique
-from macprod.hecke import murphy_apply
 from macprod.oracles import _degree_slice, _rref
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly

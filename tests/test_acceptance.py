@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from helpers import murphy_apply
 from macprod import hecke, lattice, matprod, oracles
 from macprod.compositions import antidominant, dominant, eigen_exponents, orbit
 from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, psi_eval,
@@ -84,7 +85,7 @@ def test_criterion_03_eigenvalue_suite():
     formula = exps[2] == (1, 1) and exps[3] == (1, -1)
     f = matprod.compute_f(delta)
     acting = all(
-        hecke.murphy_apply(i, f) == f.scale(QTRat.monomial(qe=qe, te=te))
+        murphy_apply(i, f) == f.scale(QTRat.monomial(qe=qe, te=te))
         for i, (qe, te) in enumerate(exps, start=1))
     ok = not bad and pinned and formula and acting
     _report(3, ok, f"{len(shapes)} anti-dominant eigenfunctions, "

@@ -7,12 +7,16 @@ Everything goes through main(argv) so the exit codes the contract promises
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from macprod import hecke, matprod, oracles
 from macprod.cli import main
 from macprod.errors import InternalNonPolynomial
 from macprod.oscillator import parse_word, trace_closed_form
+from macprod.qtfield import QTRat
 from macprod.xpoly import XPoly
 
 
@@ -132,6 +136,30 @@ def test_verify_eigen_failure_locates_the_murphy_index(capsys, monkeypatch):
     assert code == 1
     assert out == "verify eigen (0, 1, 0): FAIL\n"
     assert err == "  first failing Murphy equation: Y_2 E != y_2 E\n"
+
+
+def test_verify_eigen_denominator_outside_hhl_exits_3(capsys, monkeypatch):
+    # 1 - q^2 t does not divide D_(0,1) = 1 - q t^2; the check is a raise,
+    # not an assert, so -O keeps it
+    E = XPoly.variable(2, 2) + \
+        XPoly.variable(1, 2).scale(QTRat(1, {(0, 0): 1, (2, 1): -1}))
+    monkeypatch.setattr(hecke, "compute_E", lambda lam: E)
+    code, out, err = run(capsys, "verify", "eigen", "--lambda", "0,1")
+    assert code == 3 and out == ""
+    assert "does not divide D_(0, 1)" in err
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; from macprod import cli, hecke; "
+              "from macprod.qtfield import QTRat; "
+              "from macprod.xpoly import XPoly; "
+              "E = XPoly.variable(2, 2) + XPoly.variable(1, 2).scale("
+              "QTRat(1, {(0, 0): 1, (2, 1): -1})); "
+              "hecke.compute_E = lambda lam: E; "
+              "sys.exit(cli.main(['verify', 'eigen', '--lambda', '0,1']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "does not divide D_(0, 1)" in proc.stderr
 
 
 def test_verify_lattice_rank_below_one_exits_2(capsys):

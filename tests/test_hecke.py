@@ -5,13 +5,15 @@ import pytest
 
 import gcd_raising
 import qtrat_hecke as oracle
+from helpers import demazure_T, murphy_apply
 
-from macprod import matprod, qtfield
+from macprod import hecke, matprod, qtfield
+from macprod.cli import main
 from macprod.compositions import (antidominant, dominance_leq,
                                   eigen_exponents)
 from macprod.errors import IndexOutOfRange, InternalError, NotRaisable
-from macprod.hecke import (_compute_E, compute_E, eigen_check, murphy_apply,
-                           raise_E, triangular_expand, verify_qkz)
+from macprod.hecke import (_compute_E, compute_E, eigen_check, raise_E,
+                           triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
 from macprod.oracles import eigen_solve_E
 from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
@@ -78,7 +80,7 @@ def test_baxterised_yang_baxter():
     # (T_i + c(u))(T_{i+1} + c(u+v))(T_i + c(v)) with c(w) = (1-t)/(1-d_w),
     # the spectral monomials treated formally: d_{u+v} = d_u d_v
     def bax(f, i, d):
-        return f.demazure_T(i) + f.scale((ONE - T) * (ONE - d).inverse())
+        return demazure_T(f, i) + f.scale((ONE - T) * (ONE - d).inverse())
 
     rng = random.Random(11)
     du = QTRat.monomial(qe=1, te=1)
@@ -95,6 +97,24 @@ def test_eigen_check_examples():
     assert not eigen_check((1, 0), XPoly.variable(1, 2))
     delta = (0, 0, 1, 1, 2, 2)
     assert eigen_check(delta, compute_f(delta))
+
+
+def test_eigen_check_clears_by_the_hhl_denominator(monkeypatch):
+    lam = (2, 0, 1)
+    E = compute_E(lam)
+    words = []
+    real = hecke.murphy_apply
+    monkeypatch.setattr(hecke, "murphy_apply",
+                        lambda i, N: words.append(i) or real(i, N))
+    # a zero coefficient at x^lam, and a denominator 1 - q^5 t^7 outside
+    # D_lam: False, without a Murphy word
+    assert not eigen_check(lam, E - XPoly.monomial(lam))
+    outside = QTRat(1, {(0, 0): 1, (5, 7): -1})
+    assert not eigen_check(lam, E + XPoly.monomial((0, 1, 2), outside))
+    assert words == []
+    # any nonzero scale, here (2 + q)/(1 - q^5 t^7)
+    assert eigen_check(lam, E.scale(QTRat({(0, 0): 2, (1, 0): 1}) * outside))
+    assert words == [1, 2, 3]
 
 
 def test_eigenvalues_delta_001122():
@@ -178,6 +198,14 @@ def test_compute_E_result_is_owned_by_the_caller():
     assert compute_E((1, 0)) == E10
     compute_E((2, 0, 1)).terms.clear()
     assert compute_E((2, 0, 1)).coeff_of((2, 0, 1)).is_one()
+    # nor does a coefficient share a dict with the E cache, or with the f
+    # cache that the chain reads
+    want = compute_E((2, 1, 0)).to_obj()
+    compute_E((2, 1, 0)).terms[(1, 1, 1)].num[(9, 9)] = 1
+    assert compute_E((2, 1, 0)).to_obj() == want
+    compute_f((0, 1, 2)).terms[(1, 1, 1)].num[(9, 9)] = 1
+    _compute_E.cache_clear()
+    assert compute_E((2, 1, 0)).to_obj() == want
 
 
 def test_raising_covers_small_compositions():
@@ -231,6 +259,15 @@ def test_eigen_solve_E_takes_no_gcd(gcd_calls):
     for lam in ((1, 2, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2), (2, 0, 1, 1),
                 (1, 1, 0, 2), (2, 0, 0, 2, 2), (4, 2, 1, 0)):
         eigen_solve_E(lam)
+    assert gcd_calls == []
+
+
+def test_eigen_check_and_verify_eigen_take_no_gcd(gcd_calls, capsys):
+    for lam in POOL[:3] + ((3, 2, 1, 0, 0),):
+        assert eigen_check(lam, compute_E(lam))
+        assert main(["verify", "eigen", "--lambda",
+                     ",".join(map(str, lam))]) == 0
+    assert capsys.readouterr().out.count(": pass") == 4
     assert gcd_calls == []
 
 

@@ -217,3 +217,9 @@ def test_compute_f_result_is_owned_by_the_caller():
     want = dict(f.terms)
     f.terms.clear()
     assert compute_f((0, 1)).terms == want
+    # nor does a coefficient share a dict with the cache
+    want = compute_f((0, 1, 2)).to_obj()
+    c = compute_f((0, 1, 2)).terms[(1, 1, 1)]
+    c.num[(9, 9)] = 1
+    c.den[(9, 9)] = 1
+    assert compute_f((0, 1, 2)).to_obj() == want
