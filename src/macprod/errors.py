@@ -14,6 +14,10 @@ class DivisionByZero(MacprodError, ZeroDivisionError):
     """Division by the zero rational function."""
 
 
+class NonCyclotomicDenominator(MacprodError):
+    """A denominator neither univariate nor a product of Phi_d(q^a t^b)."""
+
+
 class SpecializationPole(MacprodError):
     """A substitution sent a reduced denominator to zero."""
 

@@ -44,8 +44,8 @@ from .compositions import (antidominant, check_composition, dominant,
 from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
                      NotRaisable, SingularSystem)
 from .matprod import compute_f
-from .qtfield import (Factored, _dict_mul, binomial_factors, divide_out,
-                      factor_product, over_lcm)
+from .qtfield import (Factored, QTRat, _dict_mul, binomial_factors,
+                      divide_out, factor_product, over_lcm)
 from .xpoly import XNum, XPoly
 
 
@@ -80,15 +80,16 @@ def eigen_check(lam, f):
     the spectrum of lam.
 
     Such an f is c E_lam with c = f[x^lam] nonzero, since E_lam spans the
-    eigenspace and is monic at x^lam.  So f / c must be cleared by the HHL
-    denominator D_lam (False otherwise, with no Murphy word run), and its
-    numerator over D_lam's factors goes to eigen_failure."""
+    eigenspace and is monic at x^lam.  Then f den(c) = num(c) E_lam has its
+    denominators in the HHL denominator D_lam, so it must be cleared by
+    D_lam (False otherwise, with no Murphy word run), and its numerator goes
+    to eigen_failure; num(c) is never divided by, so needs no gcd."""
     lam = check_composition(lam)
     c = f.coeff_of(lam)
     if len(lam) != f.n or not c:
         return False
-    if not c.is_one():
-        f = f.scale(c.inverse())
+    if c.den != {(0, 0): 1}:
+        f = f.scale(QTRat(c.den))
     try:
         N = _integral(lam, f)[0]
     except InternalError:

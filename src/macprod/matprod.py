@@ -32,6 +32,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .compositions import (check_composition, check_partition, conjugate,
@@ -53,7 +54,9 @@ def _tl(level):
 
 @lru_cache(maxsize=None)
 def _trace(word):
-    return trace_factored(word)
+    """trace_factored(word), cached with a read-only numerator."""
+    x = trace_factored(word)
+    return Factored(MappingProxyType(x.num), x.den)
 
 
 def _rank(lam, r):

@@ -12,24 +12,20 @@ The formal half-integer parameter that shifts t-exponents by multiples of
 a symbol u never appears here: a power t^(a + b*u) is stored as the
 monomial q^b t^a, i.e. t^u is identified with q.
 
-One function, _canonical, makes the reduced pair from a numerator and a
-denominator.  QTRat(num, den), QTRat.monomial and Factored.reduce all end
-in it; it takes a bivariate primitive-PRS gcd only when the pair is not
-known to be coprime.  QTRat arithmetic (the Schur and Hall-Littlewood
-oracles, specialization) keeps its values reduced with gcds of the
-operands' parts.  The configuration sums behind f_lam and P_lam, the
-oscillator traces they multiply, the recursion prefactor, the eigen
-oracle's back-substitution and the Hecke layer use Factored values
-instead (the last section): every denominator there is a product of
-binomials 1 - q^A t^B, whose irreducible factors Phi_d(q^a t^b) are known
-in advance.  Sums then run over the lcm of the factor multisets, and one
-trial division per listed factor reduces the result, so that path takes
-no gcd at all.  The Hecke operators (xpoly) run on Laurent numerators over
-one common denominator, which hecke finds as a Factored multiset among
-the factors of the Haglund-Haiman-Loehr denominator; there is no other
-way to clear an x-polynomial.  The lattice exchange relations never leave
-Z[q^+-1, t^+-1] and work on the Laurent dicts alone (_dict_mul,
-_dict_iadd).
+The field is the one the package needs: up to a monomial and an integer,
+every denominator is univariate or a product of binomials 1 - q^A t^B,
+whose cyclotomic factors Phi_d(q^a t^b) _split finds by trial division.
+_dict_gcd cancels by a univariate gcd or by trial division against those
+factors, and raises NonCyclotomicDenominator on any other denominator.
+_canonical makes the reduced pair from a numerator and a denominator;
+QTRat(num, den), QTRat.monomial and Factored.reduce all end in it.  QTRat
+arithmetic (oracles, specialization) keeps its values reduced with gcds
+of the operands' parts.  The configuration sums behind f_lam and P_lam,
+the traces, the eigen oracle and the Hecke layer use Factored values (the
+last section), whose factors are known in advance: sums run over the lcm
+of the factor multisets, and one trial division per listed factor
+reduces them, with no gcd.  The lattice exchange relations never leave
+Z[q^+-1, t^+-1] and use the Laurent dicts alone (_dict_mul, _dict_iadd).
 """
 
 from __future__ import annotations
@@ -39,10 +35,8 @@ from functools import lru_cache
 from math import gcd as _igcd
 from types import MappingProxyType
 
-from .errors import DivisionByZero, InternalError, SpecializationPole
-
-Key = tuple  # (q_exp, t_exp)
-
+from .errors import (DivisionByZero, InternalError, NonCyclotomicDenominator,
+                     SpecializationPole)
 
 #### dense univariate helpers (lists of ints, index = degree)
 
@@ -59,10 +53,6 @@ def _uni_content(u):
         if g == 1:
             return 1
     return g
-
-
-def _uni_scale_div(u, c):
-    return [ci // c for ci in u]
 
 
 def _uni_prem(u, v):
@@ -92,32 +82,21 @@ def _uni_gcd(u, v):
         return [-x for x in u] if u[-1] < 0 else u
     cu, cv = _uni_content(u), _uni_content(v)
     c = _igcd(cu, cv)
-    u = _uni_scale_div(u, cu)
-    v = _uni_scale_div(v, cv)
+    u = [x // cu for x in u]
+    v = [x // cv for x in v]
     while v:
         r = _uni_prem(u, v)
         if r:
             rc = _uni_content(r)
-            r = _uni_scale_div(r, rc) if rc > 1 else r
+            r = [x // rc for x in r] if rc > 1 else r
         u, v = v, r
     if u[-1] < 0:
         u = [-x for x in u]
     return [c * x for x in u] if c > 1 else u
 
 
-def _uni_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
 def _uni_divexact(a, b):
-    # exact division in Z[t]; internal use only (after a gcd)
+    # exact division in Z[t]; ArithmeticError when it is not exact
     a = a[:]
     out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
     lb = b[-1]
@@ -131,55 +110,6 @@ def _uni_divexact(a, b):
     if a:
         raise ArithmeticError("inexact univariate division")
     return _trim(out)
-
-
-#### bivariate PRS over Z[t] (lists over q-degree of t-lists)
-
-def _bi_content(A):
-    g = []
-    for c in A:
-        if c:
-            g = _uni_gcd(g, c)
-            if g == [1]:
-                return g
-    return g
-
-
-def _bi_prem(U, V):
-    U = [c[:] for c in U]
-    dv = len(V) - 1
-    lv = V[-1]
-    while U and len(U) - 1 >= dv:
-        d = len(U) - 1 - dv
-        lu = U[-1]
-        U = [_uni_mul(lv, c) for c in U]
-        for i, cv in enumerate(V):
-            t = _uni_mul(lu, cv)
-            c = U[i + d]
-            if len(c) < len(t):
-                c += [0] * (len(t) - len(c))
-            for j, tj in enumerate(t):
-                c[j] -= tj
-            U[i + d] = _trim(c)
-        while U and not U[-1]:
-            U.pop()
-    return U
-
-
-def _bi_gcd(U, V):
-    cU, cV = _bi_content(U), _bi_content(V)
-    c = _uni_gcd(cU, cV)
-    U = [_uni_divexact(x, cU) if x else [] for x in U]
-    V = [_uni_divexact(x, cV) if x else [] for x in V]
-    while V:
-        R = _bi_prem(U, V)
-        if R:
-            cR = _bi_content(R)
-            R = [_uni_divexact(x, cR) if x else [] for x in R]
-        U, V = V, R
-    cU = _bi_content(U)
-    U = [_uni_divexact(x, cU) if x else [] for x in U]
-    return [_uni_mul(c, x) if x else [] for x in U]
 
 
 #### sparse dict layer
@@ -219,7 +149,10 @@ def _dict_neg(a: dict) -> dict:
 
 
 def _dict_gcd(a: dict, b: dict) -> dict:
-    """gcd in Z[q, t], leading (lex) coefficient positive."""
+    """gcd in Z[q, t], leading (lex) coefficient positive.
+
+    Past the monomial and integer content, b and then a is tried by
+    _gcd_by; NonCyclotomicDenominator is raised when neither serves."""
     if not a or not b:
         out = a or b
         if not out:
@@ -233,24 +166,54 @@ def _dict_gcd(a: dict, b: dict) -> dict:
     ca = _uni_content(list(a.values()))
     cb = _uni_content(list(b.values()))
     c = _igcd(ca, cb)
-    if len(a) == 1 or len(b) == 1:
+    if len(b) == 1:
         return {(gq, gt): c}
-    G = _bi_gcd(_bi_dense(a, amq, amt, ca), _bi_dense(b, bmq, bmt, cb))
-    out = {(gq + i, gt + j): c * v
-           for i, col in enumerate(G) for j, v in enumerate(col) if v}
+    a = {(i - amq, j - amt): v // ca for (i, j), v in a.items()}
+    b = {(i - bmq, j - bmt): v // cb for (i, j), v in b.items()}
+    g = _gcd_by(b, a) or _gcd_by(a, b)
+    if g is None:
+        raise NonCyclotomicDenominator(
+            f"denominator {_poly_format(b)} is neither univariate nor a "
+            f"product of cyclotomic factors Phi_d(q^a t^b)")
+    out = {(gq + i, gt + j): c * v for (i, j), v in g.items()}
     return _dict_neg(out) if out[max(out)] < 0 else out
 
 
-def _bi_dense(a, mq, mt, content):
-    """a / (content q^mq t^mt) as a list over q-degree of dense t-lists."""
-    U = [[] for _ in range(max(k[0] for k in a) - mq + 1)]
-    for (i, j), v in a.items():
-        col = U[i - mq]
-        j -= mt
-        if len(col) <= j:
-            col += [0] * (j + 1 - len(col))
-        col[j] = v // content
-    return U
+def _gcd_by(u, v):
+    """gcd(u, v) of primitive polynomials with no monomial content, found
+    through u: the univariate gcd of a nonconstant u in one variable with
+    v's coefficients in the other, or the product of u's factors
+    Phi_d(q^a t^b) (_split) that trial division finds in v, else None.  A
+    constant u vouches for nothing, so a monomial numerator never lets a
+    denominator outside the field pass."""
+    if len(u) == 1:
+        return None
+    for axis in (0, 1):
+        if all(k[1 - axis] == 0 for k in u):
+            w = []
+            for col in _columns(v, axis) + _columns(u, axis):
+                w = _uni_gcd(w, col)
+                if w == [1]:
+                    break
+            return {(k, 0) if axis == 0 else (0, k): x
+                    for k, x in enumerate(w) if x}
+    factors = _split(u)
+    if factors is None:
+        return None
+    found = []
+    for f, m in factors:
+        v, k = divide_out(v, f, m)
+        found.append((f, k))
+    return factor_product(found)
+
+
+def _columns(a, axis):
+    """The coefficients of a in variable number axis (0 for q, 1 for t),
+    as dense lists."""
+    cols = {}
+    for k, x in a.items():
+        cols.setdefault(k[1 - axis], {})[k[axis]] = x
+    return [[c.get(e, 0) for e in range(max(c) + 1)] for c in cols.values()]
 
 
 def _dict_divexact(a: dict, b: dict) -> dict:
@@ -583,17 +546,14 @@ def _spec_poly(d, q, t):
 
 #### factored denominators
 #
-# On the configuration-sum path (oscillator traces, f_lam, P_lam) every
-# denominator is a product of binomials 1 - q^A t^B.  With g = gcd(A, B),
-# A = g a and B = g b,
+# With g = gcd(A, B), A = g a and B = g b,
 #
 #     1 - q^A t^B = -prod_{d | g} Phi_d(q^a t^b),
 #
 # and Phi_d(q^a t^b) is irreducible in Z[q, t] (a unimodular change of
 # monomials sends q^a t^b to a single variable).  A Factored value keeps its
-# denominator as a multiset of these factors: sums run over the lcm of the
-# multisets, and one reduction by trial division against the listed factors
-# yields the canonical QTRat.  Both steps are exact without any gcd.
+# denominator as a multiset of these factors, and _split finds them in a
+# polynomial, so both reduce by trial division alone.
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d):
@@ -735,6 +695,43 @@ def divide_out(num, factor, m):
         num = quo
         k += 1
     return num, k
+
+
+@lru_cache(maxsize=None)
+def _totient(d):
+    return sum(1 for k in range(1, d + 1) if _igcd(k, d) == 1)
+
+
+def _split(p):
+    """The factors ((d, a, b), m) of p = +-prod Phi_d(q^a t^b)^m, a
+    polynomial with no monomial content, or None when p is no such product.
+
+    The Newton polygon of such a product is the sum of the segments from 0
+    to phi(d) (a, b).  So p's terms on its lowest-slope ray from the
+    constant term are the product of its factors in that direction, the
+    farthest at (q^a t^b)^K with K the sum of their phi(d).  Each Phi_d
+    with phi(d) <= K (so d <= 2 K^2) is trial-divided out of the ray, then
+    out of p, and the quotient splits the same way."""
+    factors = []
+    while len(p) > 1:
+        s = min((Fraction(j, i) for i, j in p if i), default=None)
+        a, b = (0, 1) if s is None else (s.denominator, s.numerator)
+        ray = {k: v for k, v in p.items() if k[0] * b == k[1] * a}
+        K = max(i + j for i, j in ray) // (a + b)
+        d = 0
+        while K and d < 2 * K * K:
+            d += 1
+            phi = _totient(d)
+            ray, m = divide_out(ray, (d, a, b), K // phi)
+            if m:
+                p, k = divide_out(p, (d, a, b), m)
+                if k < m:
+                    return None
+                factors.append(((d, a, b), m))
+                K -= m * phi
+        if K:
+            return None
+    return factors
 
 
 def factor_product(den):

@@ -103,16 +103,7 @@ class XPoly:
         return XPoly._raw(self.n, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nv = out.get(e)
-            nv = -c if nv is None else nv - c
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-        return XPoly._raw(self.n, out)
+        return self + (-other)
 
     def __neg__(self):
         return XPoly._raw(self.n, {e: -c for e, c in self.terms.items()})

@@ -5,9 +5,11 @@ Each move clears the denominators of E_lam with one gcd per distinct
 denominator (`helpers.numerator`), forms Q = (1-d) T~_i P + (1-t) P,
 certifies it by the Murphy eigen check and divides by Q's coefficient at
 the target monomial with one gcd per coefficient (`helpers.value`).  It
-trusts no lead identity and no denominator bound, so it checks both.
+trusts no lead identity and no denominator bound, so it checks both.  Its
+gcds run in the reference field.
 """
 
+from conftest import reference_field
 from helpers import numerator, value
 from macprod.compositions import raising_word, rho_of
 from macprod.errors import BranchResolutionFailure
@@ -16,6 +18,7 @@ from macprod.matprod import compute_f
 from macprod.xpoly import XNum
 
 
+@reference_field()
 def raise_E(lam, i, E):
     """E_{s_i lam} from the XPoly E_lam, for an ascent of lam at i."""
     n = len(lam)

@@ -2,6 +2,7 @@
 
 from math import factorial
 
+from conftest import reference_field
 from macprod import hecke, qtfield
 from macprod.compositions import check_composition, w_plus_inv
 from macprod.errors import IndexOutOfRange
@@ -84,10 +85,12 @@ def eval_at(f, xs):
     return total
 
 
+@reference_field()
 def numerator(f):
     """D f as an XNum for any XPoly f, D the lcm of its coefficient
-    denominators: one gcd per distinct denominator.  The package clears
-    only by the HHL denominator (hecke._integral); this works for any f."""
+    denominators: one gcd per distinct denominator, in the reference field.
+    The package clears only by the HHL denominator (hecke._integral); this
+    works for any f."""
     D = _ONE_D
     for den in {frozenset(c.den.items()): c.den
                 for c in f.terms.values()}.values():
@@ -97,8 +100,10 @@ def numerator(f):
                       for e, c in f.terms.items()}, D)
 
 
+@reference_field()
 def value(N):
-    """The XPoly N.terms / N.den, each coefficient reduced by a gcd."""
+    """The XPoly N.terms / N.den, each coefficient reduced by a gcd in the
+    reference field."""
     return XPoly._raw(N.n, {e: QTRat(c, N.den) for e, c in N.terms.items()})
 
 

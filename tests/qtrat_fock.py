@@ -2,7 +2,8 @@
 
 The test oracle for macprod.oscillator.walk and macprod.lattice, which
 evaluate operator words on Fock states with Laurent dicts over
-Z[q^+-1, t^+-1].  Everything here is plain Q(q, t) arithmetic:
+Z[q^+-1, t^+-1].  Everything here is plain Q(q, t) arithmetic, in the
+reference field:
 
     A|m> = |m+1> (A|M> = 0 at the cutoff M)
     a|m> = (1 - t^m)|m-1>
@@ -13,10 +14,12 @@ and the comparator evaluates both matrices separately on every state.
 
 from itertools import product
 
+from conftest import reference_field
 from macprod.errors import CutoffTooSmall
 from macprod.qtfield import QTRat, one, zero
 
 
+@reference_field()
 def walk(word, m, cutoff=None):
     """Apply the word to |m>; return (m_out, QTRat factor), or
     (None, 0) when it leaves the truncated space."""
@@ -57,6 +60,7 @@ class FockMatrix:
             m.rows[i][i] = one()
         return m
 
+    @reference_field()
     def __mul__(self, other):
         if isinstance(other, (QTRat, int)):
             return FockMatrix(self.size,
@@ -77,10 +81,12 @@ class FockMatrix:
 
     __rmul__ = __mul__
 
+    @reference_field()
     def __add__(self, other):
         return FockMatrix(self.size, [[a + b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.rows, other.rows)])
 
+    @reference_field()
     def __sub__(self, other):
         return FockMatrix(self.size, [[a - b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.rows, other.rows)])
@@ -93,6 +99,7 @@ class FockMatrix:
         return self.rows[i][j]
 
 
+@reference_field()
 def fock_matrix(word, cutoff):
     """Truncated matrix of a word (or single atom) on states 0..cutoff."""
     if cutoff < 0:
@@ -108,6 +115,7 @@ def fock_matrix(word, cutoff):
     return out
 
 
+@reference_field()
 def delta_t_operator(prefix, m):
     """Coefficientwise z^n -> (1 - t^n)^m z^(n+1) on a series prefix."""
     out = [zero()]
@@ -116,6 +124,7 @@ def delta_t_operator(prefix, m):
     return out
 
 
+@reference_field()
 def qtrat(laurent):
     """A Laurent dict {(q_exp, t_exp): int} as a QTRat."""
     total = zero()
@@ -131,6 +140,7 @@ def laurent(value):
     return {(a - dq, b - dt): v for (a, b), v in value.num.items()}
 
 
+@reference_field()
 def eval_entry(entry, slot_index, state, cutoff):
     """Matrix elements of a formal lattice entry on |state>, as
     {out_state: {(xdeg, ydeg): QTRat}}."""

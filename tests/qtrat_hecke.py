@@ -2,7 +2,8 @@
 
 The test oracle for macprod.xpoly and macprod.hecke, which run the same
 operators on denominator-cleared integral numerators.  Everything here is
-plain Q(q, t) arithmetic straight from the definitions:
+plain Q(q, t) arithmetic straight from the definitions, in the reference
+field:
 
     d_i f  = (f - s_i f)/(x_i - x_{i+1})    by synthetic division
     T~_i f = t f - (t x_i - x_{i+1}) d_i f
@@ -10,6 +11,7 @@ plain Q(q, t) arithmetic straight from the definitions:
     (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1})
 """
 
+from conftest import reference_field
 from macprod.compositions import check_composition, eigen_exponents
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
@@ -18,6 +20,7 @@ T = QTRat.monomial(te=1)
 ONE = one()
 
 
+@reference_field()
 def divided_difference(f, i):
     diff = f - f.apply_s(i)
     k = i - 1
@@ -51,6 +54,7 @@ def divided_difference(f, i):
     return XPoly._raw(f.n, quot)
 
 
+@reference_field()
 def demazure_T(f, i):
     ei = [0] * f.n
     ei[i - 1] = 1
@@ -60,10 +64,12 @@ def demazure_T(f, i):
     return f.scale(T) - fac * divided_difference(f, i)
 
 
+@reference_field()
 def demazure_T_inv(f, i):
     return (demazure_T(f, i) - f.scale(T - ONE)).scale(T.inverse())
 
 
+@reference_field()
 def shift_omega(f):
     out = {}
     for e, c in f.terms.items():
@@ -71,6 +77,7 @@ def shift_omega(f):
     return XPoly._raw(f.n, out)
 
 
+@reference_field()
 def murphy_apply(i, f):
     g = f
     for j in range(i - 1, 0, -1):
@@ -81,6 +88,7 @@ def murphy_apply(i, f):
     return g
 
 
+@reference_field()
 def eigen_check(lam, f):
     lam = check_composition(lam)
     if len(lam) != f.n or not f:

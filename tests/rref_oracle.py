@@ -3,11 +3,13 @@ reference.
 
 E_lam is the unique monic solution of the Murphy eigen-equations, found by
 a dense QTRat row reduction over every (i, monomial) equation, with a gcd
-on every add.  It trusts no triangularity: the narrow support (sorted
+on every add, in the reference field (its pivots, such as q t^2 - q t - 1,
+leave the field the package cancels in).  It trusts no triangularity: the narrow support (sorted
 shapes dominated by lam+) is widened to the whole degree slice when the
 system is inconsistent there, and uniqueness is read off the pivots.
 """
 
+from conftest import reference_field
 from helpers import murphy_apply
 from macprod.compositions import (check_composition, dominance_leq,
                                   dominant, eigen_exponents)
@@ -35,6 +37,7 @@ def _solve_unique(rows, ncols):
     return sol
 
 
+@reference_field()
 def eigen_solve_E(lam):
     """E_lam by row reduction of the eigen system on the narrow support,
     widened to the whole degree slice on inconsistency."""

@@ -192,6 +192,14 @@ def test_triangular_expand():
     assert acc == compute_E(lam)
 
 
+def test_triangular_expand_rebuilds_E_4210():
+    lam = (4, 2, 1, 0)
+    acc = XPoly.zero(4)
+    for mu, c in triangular_expand(lam).items():
+        acc = acc + compute_f(mu).scale(c)
+    assert acc == compute_E(lam)
+
+
 def test_compute_E_result_is_owned_by_the_caller():
     E = compute_E((1, 0))
     E.terms.clear()
@@ -248,8 +256,9 @@ def test_compute_E_takes_no_gcd(gcd_calls):
     for lam in POOL + ((3, 2, 1, 0, 0),):
         compute_E(lam)
     assert gcd_calls == []
-    # the counter does see the gcd of the reference route
-    gcd_raising.compute_E((1, 0), {})
+    # the counter does see QTRat arithmetic on a coefficient of E (the
+    # reference route gcd_raising runs in the reference field instead)
+    compute_E((1, 0)).coeff_of((0, 1)) + 1
     assert gcd_calls
 
 

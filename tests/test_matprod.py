@@ -212,6 +212,22 @@ def test_generating_identity():
     assert set(gt) == {(0, 0), (1, 0), (1, 1)}
 
 
+def test_trace_cache_is_read_only(monkeypatch):
+    words = []
+    real = matprod.trace_factored
+    monkeypatch.setattr(matprod, "trace_factored",
+                        lambda word: words.append(word) or real(word))
+    matprod._trace.cache_clear()
+    matprod._compute_f.cache_clear()
+    want = compute_f((0, 1, 1, 2)).to_obj()
+    x = next(x for x in map(matprod._trace, words) if x)
+    k = next(iter(x.num))
+    with pytest.raises(TypeError):
+        x.num[k] += 7
+    matprod._compute_f.cache_clear()
+    assert compute_f((0, 1, 1, 2)).to_obj() == want
+
+
 def test_compute_f_result_is_owned_by_the_caller():
     f = compute_f((0, 1))
     want = dict(f.terms)

@@ -1,4 +1,8 @@
-"""Coefficient-field arithmetic: reduction, field axioms, brackets, JSON."""
+"""Coefficient-field arithmetic: reduction, field axioms, brackets, JSON.
+
+The field axioms run twice: on arbitrary values in the reference field
+(conftest.reference_field, the PRS gcd), and on values of the supported
+field in production, with every gcd compared to the reference."""
 
 import json
 import random
@@ -8,10 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import gcd_checked, reference_field
 from helpers import bracket
-from macprod.errors import DivisionByZero, SpecializationPole
-from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, _dict_mul, one,
-                             specialize, zero)
+from macprod.errors import (DivisionByZero, NonCyclotomicDenominator,
+                            SpecializationPole)
+from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, _dict_mul, _split,
+                             factor_product, one, specialize, zero)
+from prs_gcd import dict_gcd as reference_gcd
 
 
 def mono(qe=0, te=0, c=1):
@@ -79,18 +86,57 @@ def _random_rat(rng, depth=3):
     return val
 
 
+# The supported field, in two kinds: monomials times products of binomials
+# 1 - q^A t^B and their inverses, and rational functions of t alone.
+BINOMIALS = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 2), (2, 2), (3, 1)]
+
+
+def _binomial_value(qe, te, c, factors):
+    """c q^qe t^te prod (1 - q^A t^B)^e over factors ((A, B), e)."""
+    v = mono(qe, te, c)
+    for (A, B), e in factors:
+        v = v * (1 - mono(A, B)) ** e
+    return v
+
+
+def _binomial_rat(rng):
+    return _binomial_value(
+        rng.randrange(-2, 3), rng.randrange(-2, 3), rng.choice((-3, -1, 1, 2)),
+        [(rng.choice(BINOMIALS), rng.choice((-1, 1)))
+         for _ in range(rng.randrange(4))])
+
+
+def _t_rat(rng):
+    num, den = ({(0, k): rng.randrange(-2, 3) for k in range(3)}
+                for _ in range(2))
+    return QTRat(num, den) if any(den.values()) else QTRat(num)
+
+
+def _axioms(a, b, c):
+    assert (a + b) * c == a * c + b * c
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a - a == zero()
+    if not a.is_zero():
+        assert a * a.inverse() == one()
+        assert (a ** 3) * (a ** -2) == a
+
+
 def test_field_axioms_random():
     rng = random.Random(20260815)
-    for _ in range(60):
-        a, b, c = (_random_rat(rng) for _ in range(3))
-        assert (a + b) * c == a * c + b * c
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a - a == zero()
-        if not a.is_zero():
-            assert a * a.inverse() == one()
-            assert (a ** 3) * (a ** -2) == a
+    with reference_field():
+        for _ in range(60):
+            _axioms(*(_random_rat(rng) for _ in range(3)))
+
+
+def test_field_axioms_random_on_the_field():
+    rng = random.Random(20260815)
+    with gcd_checked() as calls:
+        for _ in range(60):
+            draw = rng.choice((_binomial_rat, _t_rat))
+            _axioms(*(draw(rng) for _ in range(3)))
+    assert calls
 
 
 def _polys(min_size=0):
@@ -100,7 +146,27 @@ def _polys(min_size=0):
                            min_size=min_size, max_size=3)
 
 
-_rats = st.builds(QTRat, _polys(), _polys(1))
+_rats = st.builds(reference_field()(QTRat), _polys(), _polys(1))
+
+
+@st.composite
+def _field(draw, count):
+    """count values of the supported field and a nonzero polynomial, all of
+    one kind."""
+    if draw(st.booleans()):
+        factors = st.lists(st.tuples(st.sampled_from(BINOMIALS),
+                                     st.sampled_from((-1, 1))), max_size=3)
+        values = st.builds(_binomial_value, st.integers(-2, 2),
+                           st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)),
+                           factors)
+        poly = st.lists(st.sampled_from(BINOMIALS), max_size=2).map(
+            lambda bs: _binomial_value(0, 0, 1, [(b, 1) for b in bs]).num)
+    else:
+        poly = st.dictionaries(st.tuples(st.just(0), st.integers(0, 3)),
+                               st.sampled_from((-2, -1, 1, 2)),
+                               min_size=1, max_size=3)
+        values = st.builds(QTRat, poly | st.just({}), poly)
+    return [draw(values) for _ in range(count)] + [draw(poly)]
 
 
 def _is_canonical(a):
@@ -109,14 +175,12 @@ def _is_canonical(a):
     # coprime, lex-leading denominator coefficient positive, and per
     # variable the lowest exponent of num and den is 0 on one side and
     # nonnegative on the other
-    return (_dict_gcd(a.num, a.den) == _ONE_D and a.den[max(a.den)] > 0
+    return (reference_gcd(a.num, a.den) == _ONE_D and a.den[max(a.den)] > 0
             and all(min(k[i] for k in (*a.num, *a.den)) == 0
                     for i in (0, 1)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_rats, _rats, _rats)
-def test_field_axioms_hypothesis(a, b, c):
+def _exact_axioms(a, b, c):
     assert a + b == b + a and a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
@@ -128,8 +192,21 @@ def test_field_axioms_hypothesis(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_rats, _rats, _polys(1))
-def test_equal_values_are_structurally_equal(a, b, g):
+@given(_rats, _rats, _rats)
+def test_field_axioms_hypothesis(a, b, c):
+    with reference_field():
+        _exact_axioms(a, b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field(3))
+def test_field_axioms_hypothesis_on_the_field(values):
+    a, b, c, _ = values
+    with gcd_checked():
+        _exact_axioms(a, b, c)
+
+
+def _structural(a, b, g):
     # canonical form: every result is reduced, and equality of values
     # (cross-multiplication) coincides with equality of (num, den)
     for v in (a, b, a + b, a * b, a - b):
@@ -146,15 +223,41 @@ def test_equal_values_are_structurally_equal(a, b, g):
     assert (back.num, back.den) == (a.num, a.den)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_rats, _rats, _polys(1))
+def test_equal_values_are_structurally_equal(a, b, g):
+    with reference_field():
+        _structural(a, b, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field(2))
+def test_equal_values_are_structurally_equal_on_the_field(values):
+    with gcd_checked():
+        _structural(*values)
+
+
+def _reduced(a):
+    if a.is_zero():
+        assert a.den == _ONE_D
+    else:
+        assert reference_gcd(a.num, a.den) == _ONE_D
+        assert a.den[max(a.den)] > 0
+
+
 def test_reduced_invariant_random():
     rng = random.Random(7)
-    for _ in range(40):
-        a = _random_rat(rng)
-        if a.is_zero():
-            assert a.den == _ONE_D
-            continue
-        assert _dict_gcd(a.num, a.den) == _ONE_D
-        assert a.den[max(a.den)] > 0
+    with reference_field():
+        for _ in range(40):
+            _reduced(_random_rat(rng))
+
+
+def test_reduced_invariant_random_on_the_field():
+    rng = random.Random(7)
+    with gcd_checked() as calls:
+        for _ in range(40):
+            _reduced(rng.choice((_binomial_rat, _t_rat))(rng))
+    assert calls
 
 
 def test_bracket_values():
@@ -237,6 +340,42 @@ def test_from_obj_canonicalises():
     assert not QTRat.from_obj({"num": [[0, 0, 0]], "den": [[0, 0, 1]]})
     with pytest.raises(DivisionByZero):
         QTRat.from_obj({"num": [[0, 0, 1]], "den": [[1, 0, 0]]})
+
+
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 3), (3, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 12), st.sampled_from(DIRECTIONS)),
+                       st.integers(1, 2), min_size=1, max_size=4))
+def test_split_round_trips_factor_multisets(mult):
+    factors = {(d, a, b): m for (d, (a, b)), m in mult.items()}
+    p = factor_product(tuple(factors.items()))
+    assert dict(_split(p)) == factors
+    assert dict(_split({k: -v for k, v in p.items()})) == factors
+
+
+def test_split_rejects_non_products():
+    # 1 + q + t, 2 + q t and (1 - q)(1 + q + t)
+    for p in ({(0, 0): 1, (1, 0): 1, (0, 1): 1}, {(0, 0): 2, (1, 1): 1},
+              _dict_mul({(0, 0): 1, (1, 0): -1},
+                        {(0, 0): 1, (1, 0): 1, (0, 1): 1})):
+        assert _split(p) is None
+
+
+def test_non_cyclotomic_denominator_raises():
+    bad = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    with pytest.raises(NonCyclotomicDenominator):
+        QTRat(1, bad)
+    with pytest.raises(NonCyclotomicDenominator):
+        QTRat.from_obj({"num": [[0, 0, 1]],
+                        "den": [[0, 0, 1], [0, 1, 1], [1, 0, 1]]})
+    with pytest.raises(NonCyclotomicDenominator):
+        one() / (1 + q + t)
+    with pytest.raises(NonCyclotomicDenominator):
+        (q + t) / (1 + q + t)
+    with reference_field():
+        assert QTRat(1, bad) * (1 + q + t) == one()
 
 
 def test_dict_gcd_cases():
