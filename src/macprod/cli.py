@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hecke, lattice, matprod, oracles
 from .errors import DivergentTrace, InternalError, MacprodError
@@ -55,120 +56,105 @@ def parse_specialization(text):
     return q, t
 
 
-def emit_poly(poly, fmt, head):
+def emit(value, fmt, head, key):
+    """Print value as text, latex, or a canonical JSON line holding head
+    and value.to_obj() under key; the exit code, 0."""
     if fmt == "json":
-        print(json.dumps({**head, "poly": poly.to_obj()}, sort_keys=True))
-    elif fmt == "latex":
-        print(poly.latex())
-    else:
-        print(poly)
-
-
-def emit_scalar(value, fmt, head):
-    if fmt == "json":
-        print(json.dumps({**head, "value": value.to_obj()}, sort_keys=True))
+        print(json.dumps({**head, key: value.to_obj()}, sort_keys=True))
     elif fmt == "latex":
         print(value.latex())
     else:
         print(value)
-
-
-def _need_lambda(args):
-    if args.lam is None:
-        raise UsageError("--lambda is required here")
-    return args.lam
-
-
-def cmd_compute(args):
-    lam = _need_lambda(args)
-    head = {"target": args.target, "lambda": list(lam)}
-    if args.target == "f":
-        lam, rank = matprod._rank(lam, args.rank)
-        poly = matprod.compute_f(lam, rank)
-        head = {"lambda": list(lam), "rank": rank,
-                "omega": matprod.omega_norm(lam, rank).to_obj()}
-    elif args.target == "E":
-        poly = hecke.compute_E(lam)
-    elif args.target == "P":
-        poly = matprod.compute_P(lam, n=len(lam))
-    else:
-        if args.mu is None:
-            raise UsageError("compute transition needs --mu")
-        poly = matprod.transition(lam, args.mu, args.rank)
-        head["mu"] = list(args.mu)
-    if args.specialize:
-        q, t = parse_specialization(args.specialize)
-        poly = poly.specialize(q=q, t=t)
-    emit_poly(poly, args.format, head)
     return 0
 
 
-def cmd_verify(args):
-    target = args.target
-    if target in ("yba", "rll", "zf", "twist"):
-        ranks = [args.rank] if args.rank is not None else [1, 2, 3]
-        ok = True
-        for r in ranks:
-            miss = lattice.intertwining_mismatch(target, r, args.cutoff)
-            line = f"verify {target} rank={r} cutoff={args.cutoff}: "
-            if miss is None:
-                print(line + "pass")
-            else:
-                ok = False
-                pos, slots, state = miss
-                print(line + "FAIL")
-                print(f"  first mismatch at matrix position {pos}, "
-                      f"in-state {dict(zip(slots, state))}", file=sys.stderr)
-        return 0 if ok else 1
-    if target == "qkz":
-        lam = args.lam_plus if args.lam_plus is not None else _need_lambda(args)
-        bad = hecke.qkz_failures(lam)
-        if not bad:
-            print(f"verify qkz {lam}: pass")
-            return 0
-        print(f"verify qkz {lam}: FAIL")
-        for mu, why in bad:
-            print(f"  member {mu}: {why}", file=sys.stderr)
-        return 1
-    if target == "eigen":
-        lam = _need_lambda(args)
-        i = hecke.eigen_failure(lam,
-                                hecke._integral(lam, hecke.compute_E(lam))[0])
-        if i is None:
-            print(f"verify eigen {lam}: pass")
-            return 0
-        print(f"verify eigen {lam}: FAIL")
-        print(f"  first failing Murphy equation: Y_{i} E != y_{i} E",
-              file=sys.stderr)
-        return 1
-    if target == "recursion":
-        lam = _need_lambda(args)
-        rep = matprod.recursion_report(lam, args.rank)
-        if rep.ok:
-            print(f"verify recursion {lam}: pass "
-                  f"({len(rep.terms)} transfer terms)")
-            return 0
-        print(f"verify recursion {lam}: FAIL")
-        print(f"  lhs {rep.lhs}", file=sys.stderr)
-        print(f"  rhs {rep.rhs}", file=sys.stderr)
-        return 1
-    if target == "oracle":
-        lam = _need_lambda(args)
-        got, want = oracles.eigen_solve_E(lam), hecke.compute_E(lam)
-        if got == want:
-            print(f"verify oracle {lam}: pass")
-            return 0
-        print(f"verify oracle {lam}: FAIL")
-        e = min(e for e in got.terms.keys() | want.terms.keys()
-                if got.coeff_of(e) != want.coeff_of(e))
-        print(f"  first mismatch at x^{e}: oracle {got.coeff_of(e)}, "
-              f"raising {want.coeff_of(e)}", file=sys.stderr)
-        return 1
-    raise UsageError(f"cannot verify target {target!r}")
+def report(subject, failures, note=""):
+    """The pass/FAIL line of one verification on stdout, each failure
+    line on stderr; the exit code."""
+    if not failures:
+        print(f"verify {subject}: pass{note}")
+        return 0
+    print(f"verify {subject}: FAIL")
+    for line in failures:
+        print(f"  {line}", file=sys.stderr)
+    return 1
+
+
+def print_computed(args, poly, head):
+    """emit poly, specialised when --specialize asks."""
+    if args.specialize:
+        q, t = parse_specialization(args.specialize)
+        poly = poly.specialize(q=q, t=t)
+    return emit(poly, args.format, head, "poly")
+
+
+def cmd_compute_f(args):
+    lam, rank = matprod._rank(args.lam, args.rank)
+    return print_computed(args, matprod.compute_f(lam, rank), {
+        "lambda": list(lam), "rank": rank,
+        "omega": matprod.omega_norm(lam, rank).to_obj()})
+
+
+def cmd_compute_E(args):
+    return print_computed(args, hecke.compute_E(args.lam),
+                          {"target": "E", "lambda": list(args.lam)})
+
+
+def cmd_compute_P(args):
+    return print_computed(args, matprod.compute_P(args.lam, n=len(args.lam)),
+                          {"target": "P", "lambda": list(args.lam)})
+
+
+def cmd_compute_transition(args):
+    return print_computed(
+        args, matprod.transition(args.lam, args.mu, args.rank),
+        {"target": "transition", "lambda": list(args.lam),
+         "mu": list(args.mu)})
+
+
+def cmd_verify_lattice(args):
+    codes = []
+    for r in [args.rank] if args.rank is not None else [1, 2, 3]:
+        miss = lattice.intertwining_mismatch(args.target, r, args.cutoff)
+        codes.append(report(
+            f"{args.target} rank={r} cutoff={args.cutoff}",
+            [] if miss is None else [
+                f"first mismatch at matrix position {miss[0]}, "
+                f"in-state {dict(zip(miss[1], miss[2]))}"]))
+    return max(codes)
+
+
+def cmd_verify_qkz(args):
+    return report(f"qkz {args.lam}", [f"member {mu}: {why}" for mu, why
+                                      in hecke.qkz_failures(args.lam)])
+
+
+def cmd_verify_eigen(args):
+    E = hecke._integral(args.lam, hecke.compute_E(args.lam))[0]
+    i = hecke.eigen_failure(args.lam, E)
+    return report(f"eigen {args.lam}", [] if i is None else [
+        f"first failing Murphy equation: Y_{i} E != y_{i} E"])
+
+
+def cmd_verify_recursion(args):
+    rep = matprod.recursion_report(args.lam, args.rank)
+    return report(f"recursion {args.lam}",
+                  [] if rep.ok else [f"lhs {rep.lhs}", f"rhs {rep.rhs}"],
+                  f" ({len(rep.terms)} transfer terms)")
+
+
+def cmd_verify_oracle(args):
+    got, want = oracles.eigen_solve_E(args.lam), hecke.compute_E(args.lam)
+    bad = [] if got == want else [
+        min(e for e in got.terms.keys() | want.terms.keys()
+            if got.coeff_of(e) != want.coeff_of(e))]
+    return report(f"oracle {args.lam}", [
+        f"first mismatch at x^{e}: oracle {got.coeff_of(e)}, "
+        f"raising {want.coeff_of(e)}" for e in bad])
 
 
 def cmd_expand(args):
-    lam = _need_lambda(args)
+    lam = args.lam
     if args.by_transition:
         prefactor, terms = matprod.transfer_table(lam, args.rank)
         if args.format == "json":
@@ -212,59 +198,72 @@ def cmd_trace(args):
     if args.specialize:
         q, t = parse_specialization(args.specialize)
         value = qt_specialize(value, q=q, t=t)
-    emit_scalar(value, args.format, {"word": word_str(word)})
-    return 0
+    return emit(value, args.format, {"word": word_str(word)}, "value")
 
 
+_COMPOSITION = dict(type=parse_composition, required=True, metavar="a,b,c")
+_FLAGS = {
+    "--lambda": dict(_COMPOSITION, dest="lam"),
+    "--mu": _COMPOSITION,
+    "--rank": dict(type=int, default=None),
+    "--cutoff": dict(type=int, default=4),
+    "--specialize": dict(default=None, metavar="q=0|q=t|q=NUM,t=NUM"),
+}
+
+
+def _leaf(targets, name, func, flags, formats=(), help=None):
+    """A command taking exactly the named flags (keys of _FLAGS), and
+    --format when formats are given."""
+    sp = targets.add_parser(name, help=help)
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
+    if formats:
+        sp.add_argument("--format", choices=formats, default="text")
+    sp.set_defaults(func=func)
+    return sp
+
+
+@lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built on first use and reused for every later call."""
     p = argparse.ArgumentParser(
         prog="macprod",
         description="Exact Macdonald polynomials from oscillator traces")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp, *formats):
-        sp.add_argument("--lambda", dest="lam", type=parse_composition,
-                        default=None, metavar="a,b,c")
-        sp.add_argument("--rank", type=int, default=None)
-        if formats:
-            sp.add_argument("--format", choices=formats, default="text")
+    formats = ("text", "json", "latex")
 
     c = sub.add_parser("compute", help="compute a polynomial")
-    c.add_argument("target", choices=("f", "E", "P", "transition"))
-    common(c, "text", "json", "latex")
-    c.add_argument("--mu", type=parse_composition, default=None)
-    c.add_argument("--specialize", default=None,
-                   metavar="q=0|q=t|q=NUM,t=NUM")
-    c.set_defaults(func=cmd_compute)
+    c = c.add_subparsers(dest="target", required=True)
+    for name, func, flags in (
+            ("f", cmd_compute_f, ("--rank",)), ("E", cmd_compute_E, ()),
+            ("P", cmd_compute_P, ()),
+            ("transition", cmd_compute_transition, ("--mu", "--rank"))):
+        _leaf(c, name, func, ("--lambda", *flags, "--specialize"), formats)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("target", choices=("qkz", "yba", "rll", "zf", "twist",
-                                      "eigen", "recursion", "oracle"))
-    common(v)
-    v.add_argument("--lambda-plus", dest="lam_plus", type=parse_composition,
-                   default=None, metavar="a,b,c")
-    v.add_argument("--cutoff", type=int, default=4)
-    v.set_defaults(func=cmd_verify)
+    v = v.add_subparsers(dest="target", required=True)
+    _leaf(v, "qkz", cmd_verify_qkz, ()).add_argument(
+        "--lambda-plus", "--lambda", **_FLAGS["--lambda"])
+    for name in ("yba", "rll", "zf", "twist"):
+        _leaf(v, name, cmd_verify_lattice, ("--rank", "--cutoff"))
+    _leaf(v, "eigen", cmd_verify_eigen, ("--lambda",))
+    _leaf(v, "recursion", cmd_verify_recursion, ("--lambda", "--rank"))
+    _leaf(v, "oracle", cmd_verify_oracle, ("--lambda",))
 
-    e = sub.add_parser("expand", help="list trace configurations")
-    common(e, "text", "json")
+    e = _leaf(sub, "expand", cmd_expand, ("--lambda", "--rank"),
+              ("text", "json"), help="list trace configurations")
     e.add_argument("--by-transition", action="store_true",
                    help="group by single-layer transfer target")
-    e.set_defaults(func=cmd_expand)
 
-    t = sub.add_parser("trace", help="closed form of an oscillator trace")
+    t = _leaf(sub, "trace", cmd_trace, ("--specialize",), formats,
+              help="closed form of an oscillator trace")
     t.add_argument("word", help="for example 'a A k^(2,1)'")
-    t.add_argument("--format", choices=("text", "json", "latex"),
-                   default="text")
-    t.add_argument("--specialize", default=None)
-    t.set_defaults(func=cmd_trace)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

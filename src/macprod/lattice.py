@@ -172,11 +172,6 @@ def _pair(i, j, width):
 
 def build_R(r):
     """Cleared R-matrix: (tx-y) R~(x, y) on the (r+1)^2 basis of pairs."""
-    if r < 1:
-        # rank 0: one-dimensional, acts as the cleared identity
-        m = OpMatrix(1, 1)
-        m.set(0, 0, (term(_T, xdeg=1), term(-1, ydeg=1)))
-        return m
     w = r + 1
     m = OpMatrix(w * w, w * w)
     diag = (term(_T, xdeg=1), term(-1, ydeg=1))          # t x - y
@@ -218,26 +213,18 @@ def build_L(r, space=0):
 def build_tildeL(r, space=0):
     """(r+1) x r reduction of L: family 1 frozen (a_1, a_1+ -> 1, k_1 -> 0).
 
-    Columns 0 and 1 of L become equal under the substitution; column 0 is
-    kept and the surviving columns are the old (0, 2, 3, .., r).
+    L has no k_1 atom (the k tail of row i starts at family i + 1), so the
+    substitution erases the family-1 slot.  Columns 0 and 1 of L then
+    agree; column 0 is kept and the surviving columns are the old
+    (0, 2, 3, .., r).
     """
+    frozen = (space, 1)
     m = OpMatrix(r + 1, r)
-    m.set(0, 0, (term(),))
-    for b in range(1, r):
-        m.set(0, b, (term(factors=[((space, b + 1), (LOWER,))]),))
-    for i in range(1, r + 1):
-        tail = _ktail(space, i + 1, r)
-        raise_i = [] if i == 1 else [((space, i), (RAISE,))]
-        m.set(i, 0, (term(xdeg=1, factors=raise_i + tail),))
-        for b in range(1, r):
-            j = b + 1  # original column
-            if i < j:
-                continue
-            if i == j:
-                m.set(i, b, (term(xdeg=1, factors=tail),))
-            else:
-                m.set(i, b, (term(xdeg=1, factors=[((space, j), (LOWER,)),
-                                                   ((space, i), (RAISE,))] + tail),))
+    for (i, j), e in build_L(r, space).entries.items():
+        if j != 1:
+            m.set(i, j - (j > 1), tuple(
+                t._replace(factors=tuple(f for f in t.factors
+                                         if f[0] != frozen)) for t in e))
     return m
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _igcd
+from math import lcm as _lcm
 from types import MappingProxyType
 
 from .errors import (DivisionByZero, InternalError, NonCyclotomicDenominator,
@@ -151,8 +152,10 @@ def _dict_neg(a: dict) -> dict:
 def _dict_gcd(a: dict, b: dict) -> dict:
     """gcd in Z[q, t], leading (lex) coefficient positive.
 
-    Past the monomial and integer content, b and then a is tried by
-    _gcd_by; NonCyclotomicDenominator is raised when neither serves."""
+    Every caller passes a denominator, or a divisor of one, as b.  Past
+    the monomial and integer content, _gcd_by finds the gcd through b, so
+    NonCyclotomicDenominator is raised exactly when b lies outside the
+    field, whatever a is."""
     if not a or not b:
         out = a or b
         if not out:
@@ -170,7 +173,7 @@ def _dict_gcd(a: dict, b: dict) -> dict:
         return {(gq, gt): c}
     a = {(i - amq, j - amt): v // ca for (i, j), v in a.items()}
     b = {(i - bmq, j - bmt): v // cb for (i, j), v in b.items()}
-    g = _gcd_by(b, a) or _gcd_by(a, b)
+    g = _gcd_by(b, a)
     if g is None:
         raise NonCyclotomicDenominator(
             f"denominator {_poly_format(b)} is neither univariate nor a "
@@ -330,11 +333,6 @@ class QTRat:
         """c * q^qe * t^te with exponents of either sign."""
         return cls._raw(*_canonical({(qe, te): c} if c else {}, _ONE_D,
                                     coprime=True))
-
-    @classmethod
-    def from_fraction(cls, f):
-        f = Fraction(f)
-        return cls._raw(_as_dict(f.numerator), {(0, 0): f.denominator})
 
     def is_zero(self):
         return not self.num
@@ -514,17 +512,20 @@ def specialize(r, q=None, t=None):
     or the name of the other variable ("t" for q, "q" for t); both
     substitutions read the original exponents, so q="t", t="q" swaps the
     variables.  Raises SpecializationPole when the reduced denominator
-    vanishes.
+    vanishes.  One QTRat(num, den) makes the result, with one gcd.
     """
-    num = _spec_poly(r.num, q, t)
-    den = _spec_poly(r.den, q, t)
-    if den.is_zero():
+    num, a = _spec_poly(r.num, q, t)
+    den, b = _spec_poly(r.den, q, t)
+    if not den:
         raise SpecializationPole(f"denominator vanishes under q={q!r}, t={t!r}")
-    return num / den
+    return QTRat({k: v * b for k, v in num.items()},
+                 {k: v * a for k, v in den.items()})
 
 
 def _spec_poly(d, q, t):
-    out = _ZERO
+    """The polynomial d under the substitution, as an integer dict p and
+    the lcm m of its coefficients' denominators: d becomes p/m."""
+    out = {}
     for (qe, te), c in d.items():
         nqe = nte = 0
         scale = Fraction(c)
@@ -540,8 +541,9 @@ def _spec_poly(d, q, t):
             nqe += te
         else:
             scale *= Fraction(t) ** te
-        out = out + QTRat.monomial(nqe, nte) * QTRat.from_fraction(scale)
-    return out
+        out[nqe, nte] = out.get((nqe, nte), 0) + scale
+    m = _lcm(*(v.denominator for v in out.values()))
+    return {k: int(v * m) for k, v in out.items() if v}, m
 
 
 #### factored denominators

@@ -12,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from macprod import hecke, matprod, oracles
+from macprod import cli, hecke, matprod, oracles
 from macprod.cli import main
 from macprod.errors import InternalNonPolynomial
 from macprod.oscillator import parse_word, trace_closed_form
@@ -253,9 +253,71 @@ def test_trace_verb(capsys):
     assert run(capsys, "trace", "a b")[0] == 2
 
 
+LEAVES = {
+    "compute f": ["--lambda", "1,0"],
+    "compute E": ["--lambda", "1,0"],
+    "compute P": ["--lambda", "1,0"],
+    "compute transition": ["--lambda", "1,0", "--mu", "1,0"],
+    **{f"verify {kind}": ["--rank", "1"]
+       for kind in ("yba", "rll", "zf", "twist")},
+    "verify qkz": ["--lambda-plus", "1,0"],
+    "verify eigen": ["--lambda", "1,0"],
+    "verify oracle": ["--lambda", "1,0"],
+    "verify recursion": ["--lambda", "1,0"],
+    "expand": ["--lambda", "1,0"],
+    "trace": ["a A k"],
+}
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "compute" in capsys.readouterr().out
+    for leaf in LEAVES:
+        code, out, _ = run(capsys, *leaf.split(), "--help")
+        assert code == 0 and out.startswith(f"usage: macprod {leaf} ")
+
+
+UNREAD = [("compute f", "--mu"),
+          *[(f"compute {x}", flag) for x in "EP" for flag in ("--rank", "--mu")],
+          *[(f"verify {kind}", flag) for kind in ("yba", "rll", "zf", "twist")
+            for flag in ("--lambda", "--lambda-plus")],
+          ("verify qkz", "--rank"), ("verify qkz", "--cutoff"),
+          *[(f"verify {x}", flag) for x in ("eigen", "oracle")
+            for flag in ("--rank", "--lambda-plus", "--cutoff")],
+          ("verify recursion", "--lambda-plus"),
+          ("verify recursion", "--cutoff")]
+VALUES = {"--mu": "1,0", "--rank": "1", "--lambda": "1,0",
+          "--lambda-plus": "1,0", "--cutoff": "4"}
+
+
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    assert len(UNREAD) == 23
+    for leaf, flag in UNREAD:
+        argv = [*leaf.split(), *LEAVES[leaf]]
+        assert run(capsys, *argv)[0] == 0, argv
+        code, out, _ = run(capsys, *argv, flag, VALUES[flag])
+        assert code == 2 and out == "", (leaf, flag)
+
+
+def test_verify_qkz_spells_its_input_two_ways(capsys):
+    for lam in ("1,1,0", "2,1,0"):
+        assert (run(capsys, "verify", "qkz", "--lambda", lam)
+                == run(capsys, "verify", "qkz", "--lambda-plus", lam))
+
+
+def test_parser_is_built_once_on_first_use(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "verify", "twist", "--rank", "1")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+    # importing the module builds nothing
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("from macprod import cli; "
+              "print(cli.build_parser.cache_info().misses)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def golden_mismatches(workload):

@@ -16,6 +16,7 @@ from conftest import gcd_checked, reference_field
 from helpers import bracket
 from macprod.errors import (DivisionByZero, NonCyclotomicDenominator,
                             SpecializationPole)
+from macprod.matprod import compute_P
 from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, _dict_mul, _split,
                              factor_product, one, specialize, zero)
 from prs_gcd import dict_gcd as reference_gcd
@@ -298,14 +299,17 @@ def test_specialize_swaps_q_and_t():
             assert specialize(m, t="q") == mono(qe + te, 0, -2)
     r = (1 - q * t * t) / (1 - t)
     assert specialize(r, q="t", t="q") == (1 - q * q * t) / (1 - q)
+    # some draws of _random_rat leave the supported field (a denominator
+    # such as (2 + q)(1 - q t^2)), so they are made in the reference field
     rng = random.Random(3)
-    for _ in range(30):
-        a = _random_rat(rng)
-        swapped = specialize(a, q="t", t="q")
-        assert specialize(swapped, q="t", t="q") == a
-        # q := t after the swap is t := q before it, swapped
-        assert specialize(swapped, q="t") == specialize(
-            specialize(a, t="q"), q="t", t="q")
+    with reference_field():
+        for _ in range(30):
+            a = _random_rat(rng)
+            swapped = specialize(a, q="t", t="q")
+            assert specialize(swapped, q="t", t="q") == a
+            # q := t after the swap is t := q before it, swapped
+            assert specialize(swapped, q="t") == specialize(
+                specialize(a, t="q"), q="t", t="q")
 
 
 def test_specialize_pole():
@@ -317,14 +321,35 @@ def test_specialize_pole():
     assert specialize(s, q=1) == one()
 
 
+def _round_trip(a):
+    blob = json.dumps(a.to_obj(), sort_keys=True)
+    b = QTRat.from_obj(json.loads(blob))
+    assert b == a
+    assert json.dumps(b.to_obj(), sort_keys=True) == blob
+
+
 def test_json_round_trip_bit_exact():
     rng = random.Random(99)
-    for _ in range(30):
-        a = _random_rat(rng)
-        blob = json.dumps(a.to_obj(), sort_keys=True)
-        b = QTRat.from_obj(json.loads(blob))
-        assert b == a
-        assert json.dumps(b.to_obj(), sort_keys=True) == blob
+    with reference_field():
+        for _ in range(30):
+            _round_trip(_random_rat(rng))
+
+
+def test_json_round_trip_bit_exact_on_the_field():
+    rng = random.Random(99)
+    with gcd_checked() as calls:
+        for _ in range(30):
+            _round_trip(rng.choice((_binomial_rat, _t_rat))(rng))
+    assert calls
+
+
+def test_specialize_takes_one_gcd_per_coefficient():
+    P = compute_P((3, 2, 1, 0))
+    for spec in ({"q": 2}, {"t": Fraction(1, 3)}, {"q": "t", "t": "q"},
+                 {"q": 1, "t": Fraction(1, 2)}):
+        with gcd_checked() as calls:
+            S = P.specialize(**spec)
+        assert len(calls) == len(S.terms) == len(P.terms)
 
 
 def test_from_obj_canonicalises():
@@ -374,8 +399,17 @@ def test_non_cyclotomic_denominator_raises():
         one() / (1 + q + t)
     with pytest.raises(NonCyclotomicDenominator):
         (q + t) / (1 + q + t)
+    # the gate is the denominator: a univariate numerator vouches for none
+    num = {(0, 0): 1, (1, 0): 1}
+    den = _dict_mul({(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (0, 1): 1})
+    with pytest.raises(NonCyclotomicDenominator):
+        QTRat(num, den)
+    with pytest.raises(NonCyclotomicDenominator):
+        QTRat.from_obj({"num": [[0, 0, 1], [1, 0, 1]],
+                        "den": [[0, 0, 4], [0, 1, 2], [1, 0, 2], [1, 1, 1]]})
     with reference_field():
         assert QTRat(1, bad) * (1 + q + t) == one()
+        assert QTRat(num, den) * (2 + q) == (1 + q) / (2 + t)
 
 
 def test_dict_gcd_cases():
