@@ -36,7 +36,7 @@ def parse_composition(text):
 
 
 def parse_specialization(text):
-    q = t = None
+    values = {"q": None, "t": None}
     for pos, part in enumerate(text.split(","), start=1):
         key, sep, val = part.partition("=")
         key, val = key.strip(), val.strip()
@@ -49,11 +49,8 @@ def parse_specialization(text):
                 parsed = Fraction(val)
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"assignment {pos}: bad numeric value {val!r}")
-        if key == "q":
-            q = parsed
-        else:
-            t = parsed
-    return q, t
+        values[key] = parsed
+    return values["q"], values["t"]
 
 
 def emit(value, fmt, head, key):
@@ -116,11 +113,12 @@ def cmd_verify_lattice(args):
     codes = []
     for r in [args.rank] if args.rank is not None else [1, 2, 3]:
         miss = lattice.intertwining_mismatch(args.target, r, args.cutoff)
-        codes.append(report(
-            f"{args.target} rank={r} cutoff={args.cutoff}",
-            [] if miss is None else [
-                f"first mismatch at matrix position {miss[0]}, "
-                f"in-state {dict(zip(miss[1], miss[2]))}"]))
+        failures = []
+        if miss is not None:
+            failures = [f"first mismatch at matrix position {miss[0]}, "
+                        f"in-state {dict(zip(miss[1], miss[2]))}"]
+        codes.append(report(f"{args.target} rank={r} cutoff={args.cutoff}",
+                            failures))
     return max(codes)
 
 
@@ -145,12 +143,13 @@ def cmd_verify_recursion(args):
 
 def cmd_verify_oracle(args):
     got, want = oracles.eigen_solve_E(args.lam), hecke.compute_E(args.lam)
-    bad = [] if got == want else [
-        min(e for e in got.terms.keys() | want.terms.keys()
-            if got.coeff_of(e) != want.coeff_of(e))]
-    return report(f"oracle {args.lam}", [
-        f"first mismatch at x^{e}: oracle {got.coeff_of(e)}, "
-        f"raising {want.coeff_of(e)}" for e in bad])
+    failures = []
+    if got != want:
+        e = min(e for e in got.terms.keys() | want.terms.keys()
+                if got.coeff_of(e) != want.coeff_of(e))
+        failures = [f"first mismatch at x^{e}: oracle {got.coeff_of(e)}, "
+                    f"raising {want.coeff_of(e)}"]
+    return report(f"oracle {args.lam}", failures)
 
 
 def cmd_expand(args):
