@@ -7,6 +7,8 @@ relations behind the construction on truncated Fock spaces.  Everything
 is exact: coefficients live in the fraction field of Z[q, t].
 """
 
+import sys
+
 from .hecke import compute_E, eigen_check, raise_E, triangular_expand, verify_qkz
 from .lattice import verify_intertwining
 from .matprod import (compute_f, compute_P, expand_configurations, omega_norm,
@@ -20,8 +22,21 @@ from .xpoly import XPoly
 
 __version__ = "0.1.0"
 
+
+def clear_caches():
+    """Empty every lru_cache of the package's loaded modules: the traces
+    and f memos of matprod, the raising chain and E memos of hecke, the
+    operator and factor tables, so that the next computation starts cold.
+    A module not yet imported has no cache to empty."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
 __all__ = [
-    "QTRat", "XPoly", "specialize",
+    "QTRat", "XPoly", "specialize", "clear_caches",
     "compute_f", "compute_E", "compute_P",
     "raw_trace_sum", "omega_norm", "expand_configurations",
     "transition", "verify_recursion", "verify_generating",

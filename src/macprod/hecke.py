@@ -25,14 +25,23 @@ chain, the qKZ check and verify eigen built on it.
 Every Murphy eigen check runs on such a numerator: each Murphy word acts
 on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
 times D f.  Scaling by a nonzero D is injective, so this is the full
-symbolic check over Q(q, t).  A raising move forms
-Q = (1 - d) T~_i P + (1 - t) P, whose coefficient at the target monomial
-is exactly t (1 - d) D (the lead identity, checked on every move), so
-each coefficient of the raised E is Q_e / (t (1 - d) D) over a known
-factor multiset and reduces by trial division.  The chain memoises each
-E_lam as a plain XPoly.  A coefficient that D_lam does not clear, on any
-move, any qKZ member or in verify eigen, or a move whose lead identity
-fails, raises InternalError."""
+symbolic check over Q(q, t).
+
+The raising chain is integral.  It memoises each E_lam of the chain as
+(P, factors), P = D E_lam over a known factor multiset, unchecked and
+unreduced.  A move forms Q = (1 - d) T~_i P + (1 - t) P, whose
+coefficient at the target monomial is exactly t (1 - d) D (the lead
+identity, checked on every move), and carries -Q/t over the factors of D
+and of 1 - d, cancelling a factor only where it divides every
+coefficient.  E_lam is the only joint Murphy eigenfunction with lam's
+spectrum that is monic at x^lam, so compute_E certifies the E it hands
+out by one exact eigen check of the carried numerator, then reduces each
+coefficient by trial division; when the check fails, the chain is checked
+move by move and the error names the first bad move.  A chain
+intermediate is checked only when it is asked for itself.  A coefficient
+that D_lam does not clear, in the f_delta that starts a chain, on any qKZ
+member, in verify eigen or in the E given to raise_E, or a move whose
+lead identity fails, raises InternalError."""
 
 from __future__ import annotations
 
@@ -44,8 +53,8 @@ from .compositions import (antidominant, check_composition, dominant,
 from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
                      NotRaisable, SingularSystem)
 from .matprod import compute_f
-from .qtfield import (Factored, QTRat, _dict_mul, binomial_factors,
-                      divide_out, factor_product, over_lcm)
+from .qtfield import (Factored, QTRat, _dict_mul, _divide_factor,
+                      binomial_factors, divide_out, factor_product, over_lcm)
 from .xpoly import XNum, XPoly
 
 
@@ -176,52 +185,124 @@ def _integral(lam, E):
         factors
 
 
-def raise_E(lam, i, E):
-    """One Baxterised raising move: E_lam -> E_{s_i lam} for an ascent at i.
+def _swap(lam, i):
+    return lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
 
-    The move is T~_i + (1-t)/(1-d) with d = q^a t^b (a, b > 0) the
-    spectral-vector quotient of the two swapped positions.  The XPoly E
-    is cleared to P = D E, its denominators found among the factors of
-    the HHL denominator D_lam (InternalError otherwise).  On P the move
-    forms Q = (1-d) T~_i P + (1-t) P and certifies Q by eigen_failure
-    (which ignores scale).  Since E is monic at x^lam, Q's coefficient at
-    the target monomial is t (1-d) D; that lead identity is checked, and
-    each Q_e / (t (1-d) D) is reduced by trial division over the factors
-    of 1-d and D into the XPoly E_{s_i lam}."""
+
+def _move(lam, i, P, factors):
+    """One Baxterised raising move T~_i + (1-t)/(1-d) on the integral form
+    (P, factors) of E_lam, P = D E_lam with D the product of the factors:
+    the integral form of E_{s_i lam}, unchecked and unreduced.
+
+    d = q^a t^b (a, b > 0) is the spectral-vector quotient of the two
+    swapped positions, and Q = (1-d) T~_i P + (1-t) P.  P' = -Q/t is
+    formed directly, its lead identity P'[target] = (d-1) D is checked
+    (InternalError), and P' is carried over the factors of D and of 1-d,
+    whose product is (d-1) D."""
+    target = _swap(lam, i)
+    rho2 = rho_of(lam)
+    a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
+    terms = (P.demazure_T(i).times({(0, -1): -1, (a, b - 1): 1}) +
+             P.times({(0, -1): -1, (0, 0): 1})).terms
+    if terms.get(target) != _dict_mul({(0, 0): -1, (a, b): 1}, P.den):
+        raise InternalError(
+            f"the move at {lam}, i={i} breaks the lead identity t (1-d) D")
+    merged = dict(factors)
+    for f, m in binomial_factors(a, b)[1]:
+        merged[f] = merged.get(f, 0) + m
+    kept = []
+    for f, m in sorted(merged.items()):
+        while m:
+            quo = _divide_all(terms, f)
+            if quo is None:
+                break
+            terms, m = quo, m - 1
+        if m:
+            kept.append((f, m))
+    kept = tuple(kept)
+    return XNum(P.n, terms, factor_product(kept)), kept
+
+
+def _divide_all(terms, f):
+    """terms with every coefficient divided by the cyclotomic factor f, or
+    None as soon as one coefficient is not divisible."""
+    out = {}
+    for e, c in terms.items():
+        c = _divide_factor(c, f)
+        if c is None:
+            return None
+        out[e] = c
+    return out
+
+
+def _reduce(P, factors):
+    """The XPoly P / prod of factors, each coefficient reduced by trial
+    division over the factors."""
+    return XPoly._raw(P.n, {e: Factored(c, factors).reduce()
+                            for e, c in P.terms.items()})
+
+
+def raise_E(lam, i, E):
+    """One Baxterised raising move: E_lam -> E_{s_i lam} for an ascent at i,
+    certified on its own.
+
+    The XPoly E is cleared by _integral and raised by _move (both raise
+    InternalError on a broken invariant); the result must pass
+    eigen_failure with the spectrum of s_i lam (BranchResolutionFailure
+    otherwise) and is reduced by trial division."""
     lam = check_composition(lam)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"raising index {i} outside 1..{n - 1}")
     if lam[i - 1] >= lam[i]:
         raise NotRaisable(f"{lam} has no ascent at {i}")
-    P, factors = _integral(lam, E)
-    target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
-    rho2 = rho_of(lam)
-    a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
-    Q = P.demazure_T(i).times({(0, 0): 1, (a, b): -1}) + \
-        P.times({(0, 0): 1, (0, 1): -1})
-    lead = Q.terms.get(target)
-    if not lead or eigen_failure(target, Q) is not None:
+    P, factors = _move(lam, i, *_integral(lam, E))
+    if eigen_failure(_swap(lam, i), P) is not None:
         raise BranchResolutionFailure(
             f"the spectral branch fails at {lam}, i={i}")
-    if lead != _dict_mul({(0, 1): 1, (a, b + 1): -1}, P.den):
-        raise InternalError(
-            f"the move at {lam}, i={i} breaks the lead identity t (1-d) D")
-    inv_lead = Factored({(0, -1): 1}, factors) * Factored.binomial(a, b, -1)
-    return XPoly._raw(n, {e: (Factored(c) * inv_lead).reduce()
-                          for e, c in Q.terms.items()})
+    return _reduce(P, factors)
+
+
+def _last_move(lam):
+    """(prev, i) such that the chain raises E_lam from E_prev at i, or
+    None for an anti-dominant lam."""
+    word = raising_word(lam)
+    return (_swap(lam, word[-1]), word[-1]) if word else None
+
+
+@lru_cache(maxsize=None)
+def _chain(lam):
+    """The integral form (P, factors) of E_lam along the raising chain,
+    unchecked: the last move of lam raises the memoised form of E_prev."""
+    last = _last_move(lam)
+    if last is None:
+        return _integral(lam, compute_f(lam))
+    return _move(*last, *_chain(last[0]))
+
+
+def _locate(lam):
+    """Raise BranchResolutionFailure at the first move of lam's chain whose
+    result fails its eigen check.  The move that raises E_lam is checked
+    last, so when the check of E_lam fails this always raises."""
+    last = _last_move(lam)
+    if last is not None:
+        _locate(last[0])
+        if eigen_failure(lam, _chain(lam)[0]) is not None:
+            raise BranchResolutionFailure(
+                f"the spectral branch fails at {last[0]}, i={last[1]}")
 
 
 @lru_cache(maxsize=None)
 def _compute_E(lam):
-    """E_lam, memoised along the raising chain: the last letter i of the
-    raising word of lam raises E_{s_i lam}, which comes from the cache."""
-    word = raising_word(lam)
-    if not word:
+    """E_lam, certified: the carried numerator of the chain passes one
+    exact eigen check with the spectrum of lam, then is reduced.  When it
+    fails, the chain is checked move by move to name the bad move."""
+    if _last_move(lam) is None:
         return compute_f(lam)
-    i = word[-1]
-    prev = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
-    return raise_E(prev, i, _compute_E(prev))
+    P, factors = _chain(lam)
+    if eigen_failure(lam, P) is not None:
+        _locate(lam)
+    return _reduce(P, factors)
 
 
 def compute_E(lam):

@@ -125,3 +125,18 @@ def shift_omega(f):
 def murphy_apply(i, f):
     """Murphy element number i on an XPoly, through its numerator."""
     return value(hecke.murphy_apply(i, numerator(f)))
+
+
+def lower_term_move(bad):
+    """A replacement for hecke._move that, at the move bad = (lam, i), adds
+    1 to the raised polynomial.  The constant has lower degree than every
+    monomial the later moves read at their targets, so each lead identity
+    still holds while the eigen equations fail."""
+    real = hecke._move
+
+    def move(lam, i, P, factors):
+        P, factors = real(lam, i, P, factors)
+        if (lam, i) == bad:
+            P = XNum(P.n, {**P.terms, (0,) * P.n: P.den}, P.den)
+        return P, factors
+    return move

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_field
-from macprod import matprod, qtfield
+from macprod import clear_caches, matprod, qtfield
 from macprod.compositions import check_composition, is_partition
 from macprod.errors import InternalError
 from macprod.matprod import (compute_P, compute_f, expand_configurations,
@@ -153,8 +153,7 @@ def test_compute_f_and_P_take_no_gcd(monkeypatch):
     real = qtfield._dict_gcd
     monkeypatch.setattr(qtfield, "_dict_gcd",
                         lambda a, b: calls.append((a, b)) or real(a, b))
-    matprod._compute_f.cache_clear()
-    matprod._trace.cache_clear()
+    clear_caches()
     for lam in ((3, 0, 0, 1, 3, 2), (0, 2, 3, 1, 2, 0, 1), (2, 1, 2, 1, 0, 3, 0)):
         compute_f(lam)
     compute_P((3, 2, 1, 0, 0))

@@ -1,18 +1,27 @@
+import importlib
+import os
+import pkgutil
 import random
+import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import gcd_raising
 import qtrat_hecke as oracle
-from helpers import demazure_T, murphy_apply
+from helpers import demazure_T, lower_term_move, murphy_apply
 
-from macprod import hecke, matprod, qtfield
+import macprod
+from macprod import clear_caches, hecke, qtfield
 from macprod.cli import main
 from macprod.compositions import (antidominant, dominance_leq,
-                                  eigen_exponents)
-from macprod.errors import IndexOutOfRange, InternalError, NotRaisable
-from macprod.hecke import (_compute_E, compute_E, eigen_check, raise_E,
+                                  eigen_exponents, raising_word)
+from macprod.errors import (BranchResolutionFailure, IndexOutOfRange,
+                            InternalError, NotRaisable)
+from macprod.hecke import (compute_E, eigen_check, raise_E,
                            triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
 from macprod.oracles import eigen_solve_E
@@ -35,13 +44,6 @@ POOL = ((3, 1, 0, 2), (2, 3, 0, 1), (3, 0, 2, 1), (1, 2, 0, 1, 0),
 SMALL = [lam for n in (2, 3, 4) for lam in product(range(3), repeat=n)]
 # every composition with 2-5 parts in {0, 1, 2}
 FS = [lam for n in (2, 3, 4, 5) for lam in product(range(3), repeat=n)]
-
-
-def _cold_caches():
-    """Clear every cache the raising chain reads."""
-    _compute_E.cache_clear()
-    matprod._compute_f.cache_clear()
-    matprod._trace.cache_clear()
 
 
 def _random_poly(rng, n, nterms=4, deg=3):
@@ -201,6 +203,7 @@ def test_triangular_expand_rebuilds_E_4210():
 
 
 def test_compute_E_result_is_owned_by_the_caller():
+    clear_caches()
     E = compute_E((1, 0))
     E.terms.clear()
     assert compute_E((1, 0)) == E10
@@ -212,7 +215,9 @@ def test_compute_E_result_is_owned_by_the_caller():
     compute_E((2, 1, 0)).terms[(1, 1, 1)].num[(9, 9)] = 1
     assert compute_E((2, 1, 0)).to_obj() == want
     compute_f((0, 1, 2)).terms[(1, 1, 1)].num[(9, 9)] = 1
-    _compute_E.cache_clear()
+    # the f cache stays warm, so the chain rereads the f handed out above
+    hecke._compute_E.cache_clear()
+    hecke._chain.cache_clear()
     assert compute_E((2, 1, 0)).to_obj() == want
 
 
@@ -228,7 +233,7 @@ def test_raising_covers_small_compositions():
         assert oracle.eigen_check(lam, E)
         got[lam] = E
     for lam in SMALL:
-        _cold_caches()
+        clear_caches()
         assert compute_E(lam) == got[lam]
 
 
@@ -248,7 +253,7 @@ def gcd_calls(monkeypatch):
     real = qtfield._dict_gcd
     monkeypatch.setattr(qtfield, "_dict_gcd",
                         lambda a, b: calls.append((a, b)) or real(a, b))
-    _cold_caches()
+    clear_caches()
     return calls
 
 
@@ -335,8 +340,103 @@ def test_raise_E_invariants_raise_internal_error():
 
 def test_frontier_E_4210_from_cold_caches():
     # at the gcd-reducing chain this took about 26 s
-    _cold_caches()
+    clear_caches()
     lam = (4, 2, 1, 0)
     E = compute_E(lam)
     assert E.coeff_of(lam).is_one()
     assert eigen_check(lam, E)
+
+
+def test_clear_caches_empties_every_cache_of_the_package():
+    modules = [importlib.import_module(f"macprod.{m.name}")
+               for m in pkgutil.iter_modules(macprod.__path__)]
+    compute_E((3, 1, 0, 2))
+    assert verify_qkz((2, 1, 0))
+    assert main(["compute", "P", "--lambda", "2,1,0"]) == 0
+    caches = {f"{m.__name__}.{name}": obj for m in modules
+              for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
+    for name in ("hecke._chain", "hecke._compute_E", "matprod._trace",
+                 "matprod._compute_f", "xpoly._image", "cli.build_parser"):
+        assert caches[f"macprod.{name}"].cache_info().currsize, name
+    clear_caches()
+    assert {name: c.cache_info().currsize for name, c in caches.items()
+            if c.cache_info().currsize} == {}
+
+
+def _fold(lam, memo):
+    """E_lam by the public raise_E, each move checked on its own, along
+    raising_word(lam) from the anti-dominant f; memo maps compositions to
+    their E."""
+    cur = antidominant(lam)
+    E = compute_f(cur)
+    for i in raising_word(lam):
+        nxt = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
+        if nxt not in memo:
+            memo[nxt] = raise_E(cur, i, E)
+        cur, E = nxt, memo[nxt]
+    return E
+
+
+def test_each_E_costs_one_exact_check(monkeypatch):
+    clear_caches()
+    checked = []
+    real = hecke.eigen_failure
+    monkeypatch.setattr(hecke, "eigen_failure",
+                        lambda lam, N: checked.append(lam) or real(lam, N))
+    # no POOL member is anti-dominant; (2, 3, 0, 1) and (2, 0, 3, 1) lie
+    # on the chain of (3, 2, 0, 1)
+    for lam in POOL:
+        compute_E(lam)
+        assert checked == [lam]
+        checked.clear()
+    for _ in range(2):
+        compute_E((2, 0, 3, 1))
+    assert checked == [(2, 0, 3, 1)]
+    monkeypatch.undo()
+    # every E handed out equals the chain of individually checked moves,
+    # on a word that may differ from the chain's
+    memo = {}
+    for lam in SMALL + list(POOL) + [(3, 2, 1, 0, 0), (4, 2, 1, 0)]:
+        assert compute_E(lam).to_obj() == _fold(lam, memo).to_obj(), lam
+
+
+# the third of five moves on the chain of (3, 2, 0, 1)
+BAD_MOVE = ((0, 2, 3, 1), 1)
+
+
+def test_a_failing_move_is_named(monkeypatch, capsys):
+    clear_caches()
+    monkeypatch.setattr(hecke, "_move", lower_term_move(BAD_MOVE))
+    named = f"at {BAD_MOVE[0]}, i={BAD_MOVE[1]}"
+    try:
+        with pytest.raises(BranchResolutionFailure, match=re.escape(named)):
+            compute_E((3, 2, 0, 1))
+        clear_caches()
+        assert main(["compute", "E", "--lambda", "3,2,0,1"]) == 2
+        assert named in capsys.readouterr().err
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (f"hecke._move = lower_term_move({BAD_MOVE})", 2,
+     f"the spectral branch fails at {BAD_MOVE[0]}, i={BAD_MOVE[1]}"),
+    ("hecke.compute_f = lambda lam: compute_f(lam).scale(QTRat(2))", 3,
+     "the move at (0, 1, 2, 3), i=2 breaks the lead identity"),
+])
+def test_chain_faults_under_optimize(fault, code, message):
+    # the eigen fault is a typed error (exit 2) and the lead identity an
+    # InternalError (exit 3), and -O keeps both
+    script = ("import sys; from helpers import lower_term_move; "
+              "from macprod import cli, hecke; "
+              "from macprod.matprod import compute_f; "
+              "from macprod.qtfield import QTRat; "
+              f"{fault}; "
+              "sys.exit(cli.main(['compute', 'E', '--lambda', '3,2,0,1']))")
+    tests = Path(__file__).resolve().parent
+    path = f"{tests.parent / 'src'}{os.pathsep}{tests}"
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macprod import matprod
+from macprod import clear_caches, matprod
 from macprod.errors import IndexOutOfRange, LengthMismatch
 from macprod.hecke import eigen_check
 from macprod.matprod import (_ONE_F, _transfers, compute_P, compute_f,
@@ -217,8 +217,7 @@ def test_trace_cache_is_read_only(monkeypatch):
     real = matprod.trace_factored
     monkeypatch.setattr(matprod, "trace_factored",
                         lambda word: words.append(word) or real(word))
-    matprod._trace.cache_clear()
-    matprod._compute_f.cache_clear()
+    clear_caches()
     want = compute_f((0, 1, 1, 2)).to_obj()
     x = next(x for x in map(matprod._trace, words) if x)
     k = next(iter(x.num))
