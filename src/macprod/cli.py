@@ -211,9 +211,9 @@ _FLAGS = {
 
 
 def _leaf(targets, name, func, flags, formats=(), help=None):
-    """A command taking exactly the named flags (keys of _FLAGS), and
-    --format when formats are given."""
-    sp = targets.add_parser(name, help=help)
+    """A command taking exactly the named flags (keys of _FLAGS), spelled
+    in full, and --format when formats are given."""
+    sp = targets.add_parser(name, help=help, allow_abbrev=False)
     for flag in flags:
         sp.add_argument(flag, **_FLAGS[flag])
     if formats:
@@ -226,12 +226,13 @@ def _leaf(targets, name, func, flags, formats=(), help=None):
 def build_parser():
     """The parser, built on first use and reused for every later call."""
     p = argparse.ArgumentParser(
-        prog="macprod",
+        prog="macprod", allow_abbrev=False,
         description="Exact Macdonald polynomials from oscillator traces")
     sub = p.add_subparsers(dest="verb", required=True)
     formats = ("text", "json", "latex")
 
-    c = sub.add_parser("compute", help="compute a polynomial")
+    c = sub.add_parser("compute", help="compute a polynomial",
+                       allow_abbrev=False)
     c = c.add_subparsers(dest="target", required=True)
     for name, func, flags in (
             ("f", cmd_compute_f, ("--rank",)), ("E", cmd_compute_E, ()),
@@ -239,7 +240,8 @@ def build_parser():
             ("transition", cmd_compute_transition, ("--mu", "--rank"))):
         _leaf(c, name, func, ("--lambda", *flags, "--specialize"), formats)
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    v = sub.add_parser("verify", help="run a verification suite",
+                       allow_abbrev=False)
     v = v.add_subparsers(dest="target", required=True)
     _leaf(v, "qkz", cmd_verify_qkz, ()).add_argument(
         "--lambda-plus", "--lambda", **_FLAGS["--lambda"])

@@ -27,19 +27,21 @@ on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
 times D f.  Scaling by a nonzero D is injective, so this is the full
 symbolic check over Q(q, t).
 
-The raising chain is integral.  It memoises each E_lam of the chain as
-(P, factors), P = D E_lam over a known factor multiset, unchecked and
-unreduced.  A move forms Q = (1 - d) T~_i P + (1 - t) P, whose
-coefficient at the target monomial is exactly t (1 - d) D (the lead
-identity, checked on every move), and carries -Q/t over the factors of D
-and of 1 - d, cancelling a factor only where it divides every
-coefficient.  E_lam is the only joint Murphy eigenfunction with lam's
-spectrum that is monic at x^lam, so compute_E certifies the E it hands
-out by one exact eigen check of the carried numerator, then reduces each
-coefficient by trial division; when the check fails, the chain is checked
-move by move and the error names the first bad move.  A chain
-intermediate is checked only when it is asked for itself.  A coefficient
-that D_lam does not clear, in the f_delta that starts a chain, on any qKZ
+Raising is one integral walk, _walk, shared by compute_E, its failure
+replay and raise_E.  It holds only the current (P, factors), P = D E
+over a known factor multiset, unchecked and unreduced.  A move forms
+Q = (1 - d) T~_i P + (1 - t) P, whose coefficient at the target monomial
+is exactly t (1 - d) D (the lead identity, checked on every move), and
+carries -Q/t over the factors of D and of 1 - d, cancelling a factor only
+where it divides every coefficient.  E_lam is the only joint Murphy
+eigenfunction with lam's spectrum that is monic at x^lam, so compute_E
+walks raising_word(lam) from f_delta, certifies the E it hands out by one
+exact eigen check of the final numerator, then reduces each coefficient
+by trial division; when the check fails, the walk is replayed with every
+move checked and the error names the first bad move.  Only the E asked
+for is memoised: the intermediates of a walk are dropped as it goes, and
+one asked for later is walked and checked on its own.  A coefficient that
+D_lam does not clear, in the f_delta that starts a walk, on any qKZ
 member, in verify eigen or in the E given to raise_E, or a move whose
 lead identity fails, raises InternalError."""
 
@@ -242,66 +244,50 @@ def _reduce(P, factors):
                             for e, c in P.terms.items()})
 
 
+def _walk(lam, E, word, check):
+    """The integral form (P, factors) of E_lam raised by one _move per
+    index of word, unreduced; only the current form is held.  The XPoly E
+    is cleared by _integral.  With check, each move's result must pass
+    eigen_failure with the spectrum it reaches, and the first that fails
+    raises BranchResolutionFailure naming that move."""
+    P, factors = _integral(lam, E)
+    for i in word:
+        prev, lam = lam, _swap(lam, i)
+        P, factors = _move(prev, i, P, factors)
+        if check and eigen_failure(lam, P) is not None:
+            raise BranchResolutionFailure(
+                f"the spectral branch fails at {prev}, i={i}")
+    return P, factors
+
+
 def raise_E(lam, i, E):
     """One Baxterised raising move: E_lam -> E_{s_i lam} for an ascent at i,
-    certified on its own.
-
-    The XPoly E is cleared by _integral and raised by _move (both raise
-    InternalError on a broken invariant); the result must pass
-    eigen_failure with the spectrum of s_i lam (BranchResolutionFailure
-    otherwise) and is reduced by trial division."""
+    certified on its own by a checked _walk of one move, then reduced by
+    trial division."""
     lam = check_composition(lam)
     n = len(lam)
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"raising index {i} outside 1..{n - 1}")
     if lam[i - 1] >= lam[i]:
         raise NotRaisable(f"{lam} has no ascent at {i}")
-    P, factors = _move(lam, i, *_integral(lam, E))
-    if eigen_failure(_swap(lam, i), P) is not None:
-        raise BranchResolutionFailure(
-            f"the spectral branch fails at {lam}, i={i}")
-    return _reduce(P, factors)
-
-
-def _last_move(lam):
-    """(prev, i) such that the chain raises E_lam from E_prev at i, or
-    None for an anti-dominant lam."""
-    word = raising_word(lam)
-    return (_swap(lam, word[-1]), word[-1]) if word else None
-
-
-@lru_cache(maxsize=None)
-def _chain(lam):
-    """The integral form (P, factors) of E_lam along the raising chain,
-    unchecked: the last move of lam raises the memoised form of E_prev."""
-    last = _last_move(lam)
-    if last is None:
-        return _integral(lam, compute_f(lam))
-    return _move(*last, *_chain(last[0]))
-
-
-def _locate(lam):
-    """Raise BranchResolutionFailure at the first move of lam's chain whose
-    result fails its eigen check.  The move that raises E_lam is checked
-    last, so when the check of E_lam fails this always raises."""
-    last = _last_move(lam)
-    if last is not None:
-        _locate(last[0])
-        if eigen_failure(lam, _chain(lam)[0]) is not None:
-            raise BranchResolutionFailure(
-                f"the spectral branch fails at {last[0]}, i={last[1]}")
+    return _reduce(*_walk(lam, E, (i,), check=True))
 
 
 @lru_cache(maxsize=None)
 def _compute_E(lam):
-    """E_lam, certified: the carried numerator of the chain passes one
-    exact eigen check with the spectrum of lam, then is reduced.  When it
-    fails, the chain is checked move by move to name the bad move."""
-    if _last_move(lam) is None:
+    """E_lam, certified: the walk along raising_word(lam) from f_delta
+    runs unchecked, and its final numerator passes one exact eigen check
+    with the spectrum of lam, then is reduced.  When that check fails, the
+    walk is replayed with every move checked; the last move's check is the
+    one that failed, so the replay always raises, naming the first bad
+    move."""
+    word = raising_word(lam)
+    if not word:
         return compute_f(lam)
-    P, factors = _chain(lam)
+    delta = antidominant(lam)
+    P, factors = _walk(delta, compute_f(delta), word, check=False)
     if eigen_failure(lam, P) is not None:
-        _locate(lam)
+        _walk(delta, compute_f(delta), word, check=True)
     return _reduce(P, factors)
 
 

@@ -8,11 +8,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from macprod import cli, hecke, matprod, oracles
+from macprod import clear_caches, cli, hecke, matprod, oracles
 from macprod.cli import main
 from macprod.errors import InternalNonPolynomial
 from macprod.oscillator import parse_word, trace_closed_form
@@ -299,6 +300,16 @@ def test_flags_a_command_does_not_read_exit_2(capsys):
         assert code == 2 and out == "", (leaf, flag)
 
 
+def test_abbreviated_flags_exit_2(capsys):
+    # argparse would otherwise read --lam as --lambda and --r as --rank
+    for full, short in (("compute E --lambda 1,0", "compute E --lam 1,0"),
+                        ("compute f --lambda 1,0 --rank 2",
+                         "compute f --lambda 1,0 --r 2")):
+        assert run(capsys, *full.split())[0] == 0
+        code, out, _ = run(capsys, *short.split())
+        assert code == 2 and out == "", short
+
+
 def test_verify_qkz_spells_its_input_two_ways(capsys):
     for lam in ("1,1,0", "2,1,0"):
         assert (run(capsys, "verify", "qkz", "--lambda", lam)
@@ -320,15 +331,18 @@ def test_parser_is_built_once_on_first_use(capsys):
     assert proc.stdout == "0\n", proc.stderr
 
 
-def golden_mismatches(workload):
+def golden_mismatches(workload, rng=None):
     """Jobs of a benchmark pool whose stdout or exit code differ from
-    perfbench/golden/<workload>.json."""
+    perfbench/golden/<workload>.json, run in the order rng shuffles them
+    to, or in file order."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / f"{workload}.json"
     with open(path, encoding="utf-8") as fh:
-        jobs = json.load(fh)["jobs"]
+        jobs = list(json.load(fh)["jobs"].items())
     assert jobs
+    if rng is not None:
+        rng.shuffle(jobs)
     bad = []
-    for job, want in jobs.items():
+    for job, want in jobs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(job.split())
@@ -345,6 +359,13 @@ def test_basis_golden_outputs():
 def test_raising_golden_outputs():
     # every job of the benchmark's raising pool, byte for byte
     assert golden_mismatches("raising") == []
+
+
+def test_raising_golden_outputs_in_shuffled_orders_from_cold_caches():
+    # no job's output depends on what an earlier job left in a memo
+    for seed in (1, 2, 3):
+        clear_caches()
+        assert golden_mismatches("raising", random.Random(seed)) == [], seed
 
 
 def test_certify_golden_outputs():

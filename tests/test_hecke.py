@@ -1,3 +1,4 @@
+import gc
 import importlib
 import os
 import pkgutil
@@ -26,7 +27,7 @@ from macprod.hecke import (compute_E, eigen_check, raise_E,
 from macprod.matprod import compute_f
 from macprod.oracles import eigen_solve_E
 from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
-from macprod.xpoly import XPoly
+from macprod.xpoly import XNum, XPoly
 
 Q = QTRat.monomial(qe=1)
 T = QTRat.monomial(te=1)
@@ -210,21 +211,20 @@ def test_compute_E_result_is_owned_by_the_caller():
     compute_E((2, 0, 1)).terms.clear()
     assert compute_E((2, 0, 1)).coeff_of((2, 0, 1)).is_one()
     # nor does a coefficient share a dict with the E cache, or with the f
-    # cache that the chain reads
+    # cache that the walk reads
     want = compute_E((2, 1, 0)).to_obj()
     compute_E((2, 1, 0)).terms[(1, 1, 1)].num[(9, 9)] = 1
     assert compute_E((2, 1, 0)).to_obj() == want
     compute_f((0, 1, 2)).terms[(1, 1, 1)].num[(9, 9)] = 1
-    # the f cache stays warm, so the chain rereads the f handed out above
+    # the f cache stays warm, so the walk rereads the f handed out above
     hecke._compute_E.cache_clear()
-    hecke._chain.cache_clear()
     assert compute_E((2, 1, 0)).to_obj() == want
 
 
 def test_raising_covers_small_compositions():
     # all 117 compositions with 2-4 parts in {0, 1, 2}: monic at x^lam, a
-    # Murphy eigenfunction by the QTRat check, and the chain memo agrees
-    # with a recomputation of the whole chain from cold caches
+    # Murphy eigenfunction by the QTRat check, and the E memo agrees with
+    # a recomputation of the whole walk from cold caches
     assert len(SMALL) == 117
     got = {}
     for lam in SMALL:
@@ -355,7 +355,7 @@ def test_clear_caches_empties_every_cache_of_the_package():
     assert main(["compute", "P", "--lambda", "2,1,0"]) == 0
     caches = {f"{m.__name__}.{name}": obj for m in modules
               for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    for name in ("hecke._chain", "hecke._compute_E", "matprod._trace",
+    for name in ("hecke._compute_E", "matprod._trace",
                  "matprod._compute_f", "xpoly._image", "cli.build_parser"):
         assert caches[f"macprod.{name}"].cache_info().currsize, name
     clear_caches()
@@ -363,13 +363,25 @@ def test_clear_caches_empties_every_cache_of_the_package():
             if c.cache_info().currsize} == {}
 
 
+def _leftmost_descent_word(lam):
+    """The word that raises lam from its anti-dominant rearrangement by
+    undoing, from lam down, the leftmost descent each time."""
+    word = []
+    while True:
+        i = next((i for i in range(1, len(lam)) if lam[i - 1] > lam[i]), None)
+        if i is None:
+            return tuple(reversed(word))
+        word.append(i)
+        lam = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
+
+
 def _fold(lam, memo):
     """E_lam by the public raise_E, each move checked on its own, along
-    raising_word(lam) from the anti-dominant f; memo maps compositions to
-    their E."""
+    the leftmost-descent word from the anti-dominant f; memo maps
+    compositions to their E."""
     cur = antidominant(lam)
     E = compute_f(cur)
-    for i in raising_word(lam):
+    for i in _leftmost_descent_word(lam):
         nxt = cur[:i - 1] + (cur[i], cur[i - 1]) + cur[i + 1:]
         if nxt not in memo:
             memo[nxt] = raise_E(cur, i, E)
@@ -393,15 +405,43 @@ def test_each_E_costs_one_exact_check(monkeypatch):
         compute_E((2, 0, 3, 1))
     assert checked == [(2, 0, 3, 1)]
     monkeypatch.undo()
-    # every E handed out equals the chain of individually checked moves,
-    # on a word that may differ from the chain's
+    # every E handed out equals the walk of individually checked moves,
+    # on a word that often differs from raising_word
+    lams = SMALL + list(POOL) + [(3, 2, 1, 0, 0), (4, 2, 1, 0)]
+    assert sum(_leftmost_descent_word(lam) != raising_word(lam)
+               for lam in lams) == 19
     memo = {}
-    for lam in SMALL + list(POOL) + [(3, 2, 1, 0, 0), (4, 2, 1, 0)]:
+    for lam in lams:
         assert compute_E(lam).to_obj() == _fold(lam, memo).to_obj(), lam
 
 
-# the third of five moves on the chain of (3, 2, 0, 1)
-BAD_MOVE = ((0, 2, 3, 1), 1)
+def test_compute_E_moves_once_per_letter_of_its_word(monkeypatch):
+    clear_caches()
+    moves = []
+    real = hecke._move
+    monkeypatch.setattr(hecke, "_move",
+                        lambda *args: moves.append(args[:2]) or real(*args))
+    # (2, 0, 3, 1) lies on the walk of (3, 2, 0, 1), and is walked again
+    # when asked for; a repeated call is a memo hit
+    for lam in ((3, 2, 0, 1), (2, 0, 3, 1)):
+        compute_E(lam)
+        assert len(moves) == len(raising_word(lam)), lam
+        moves.clear()
+        compute_E(lam)
+        assert moves == []
+
+
+def test_no_integral_form_outlives_compute_E():
+    # only the reduced E asked for is memoised, never a numerator
+    clear_caches()
+    compute_E((3, 2, 0, 1))
+    compute_E((4, 2, 1, 0))
+    gc.collect()
+    assert sum(isinstance(o, XNum) for o in gc.get_objects()) == 0
+
+
+# the third of five moves on the walk of (3, 2, 0, 1)
+BAD_MOVE = ((2, 0, 1, 3), 3)
 
 
 def test_a_failing_move_is_named(monkeypatch, capsys):
