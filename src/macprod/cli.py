@@ -17,6 +17,7 @@ from . import hecke, lattice, matprod, oracles
 from .errors import DivergentTrace, InternalError, MacprodError
 from .oscillator import parse_word, trace_closed_form, word_str
 from .qtfield import specialize as qt_specialize
+from .xpoly import XPoly
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -128,7 +129,7 @@ def cmd_verify_qkz(args):
 
 
 def cmd_verify_eigen(args):
-    E = hecke._integral(args.lam, hecke.compute_E(args.lam))[0]
+    E, _ = hecke._integral(args.lam, hecke.compute_E(args.lam))
     i = hecke.eigen_failure(args.lam, E)
     return report(f"eigen {args.lam}", [] if i is None else [
         f"first failing Murphy equation: Y_{i} E != y_{i} E"])
@@ -178,9 +179,8 @@ def cmd_expand(args):
         return 0
     print(f"{len(cfgs)} balanced configurations")
     for c in cfgs:
-        mono = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                        for i, e in enumerate(c.exps) if e)
-        print(f"paths {list(c.paths)}  {mono or '1'}  weight {c.weight}")
+        mono = XPoly._mono_str(c.exps) or "1"
+        print(f"paths {list(c.paths)}  {mono}  weight {c.weight}")
     return 0
 
 

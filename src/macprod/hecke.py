@@ -7,25 +7,23 @@ non-symmetric Macdonald polynomials; the anti-dominant ones coincide with
 the trace polynomials f_delta, and the rest are reached by Baxterised
 raising moves.
 
-The operators act only on a denominator-cleared numerator D f
-(xpoly.XNum), and there is one way to clear: _integral.  By the theorem of
-Haglund-Haiman-Loehr the denominator
+The operators act only on a numerator D f (xpoly.XNum), which does not
+carry D.  By the theorem of Haglund-Haiman-Loehr the denominator
 
     D_lam = prod over cells u of dg(lam) of (1 - q^(leg(u)+1) t^(arm(u)+1))
 
 clears every coefficient of E_lam, and since the qKZ relations
 f_{s_i mu} = T~_i f_mu have coefficients in Z[t^+-1], D_delta of the
-anti-dominant delta clears every f_mu of its orbit too.  So each distinct
-coefficient denominator is trial-divided by the cyclotomic factors
-Phi_d(q^a t^b) of D_lam, and the numerator P = D E is taken over the lcm
-D of the factor multisets found (qtfield.Factored), which is usually far
-smaller than D_lam.  Clearing takes no gcd, and neither do the raising
-chain, the qKZ check and verify eigen built on it.
-
-Every Murphy eigen check runs on such a numerator: each Murphy word acts
-on D f in Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue
-times D f.  Scaling by a nonzero D is injective, so this is the full
-symbolic check over Q(q, t).
+anti-dominant delta clears every f_mu of its orbit too.  The one way to
+clear, _integral, trial-divides each distinct coefficient denominator by
+the cyclotomic factors Phi_d(q^a t^b) of D_lam and takes the numerators
+over the lcm D of the factor multisets found, usually far smaller than
+D_lam.  Its sorted factor multiset is the only record of D: a move
+carries it, and XPoly.from_factored divides by it on the way back.  One
+call clears several polynomials over one D, as qkz_failures does with a
+whole orbit.  No gcd is taken here.  Each Murphy word acts on D f in
+Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue times
+D f; scaling by a nonzero D is injective, so this is the full check.
 
 Raising is one integral walk, _walk, shared by compute_E, its failure
 replay and raise_E.  It holds only the current (P, factors), P = D E
@@ -48,7 +46,7 @@ lead identity fails, raises InternalError."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .compositions import (antidominant, check_composition, dominant,
                            eigen_exponents, orbit, raising_word, rho_of)
@@ -62,8 +60,8 @@ from .xpoly import XNum, XPoly
 
 def murphy_apply(i, N):
     """Murphy element number i acting on the XNum N: the chain of inverse
-    generators 1..i-1, the q-shift, then generators n-1 down to i.  The
-    result stays integral over the same denominator."""
+    generators 1..i-1, the q-shift, then generators n-1 down to i.  Every
+    step is Z[q^+-1, t^+-1]-linear, so on N = D f it gives D (Y_i f)."""
     n = N.n
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"murphy index {i} outside 1..{n}")
@@ -102,7 +100,7 @@ def eigen_check(lam, f):
     if c.den != {(0, 0): 1}:
         f = f.scale(QTRat(c.den))
     try:
-        N = _integral(lam, f)[0]
+        N, _ = _integral(lam, f)
     except InternalError:
         return False
     return eigen_failure(lam, N) is None
@@ -115,8 +113,10 @@ def qkz_failures(lam_plus):
     Relations: the equal-part relation T f = t f, the descent relation
     T f_mu = f_{s_i mu}, and the q-cycling of the shift."""
     lam_plus = dominant(lam_plus)
-    delta = antidominant(lam_plus)
-    fs = {mu: _integral(delta, compute_f(mu))[0] for mu in orbit(lam_plus)}
+    members = orbit(lam_plus)
+    *nums, _ = _integral(antidominant(lam_plus),
+                         *(compute_f(mu) for mu in members))
+    fs = dict(zip(members, nums))
     n = len(lam_plus)
     bad = []
     for mu, f in fs.items():
@@ -155,18 +155,19 @@ def _hhl_factors(lam):
     return out
 
 
-def _integral(lam, E):
-    """(P, factors) for an XPoly E whose denominators divide D_lam: the
-    numerator P = D E as an XNum and D as a sorted multiset of cyclotomic
-    factors ((d, a, b), m), so that D = prod Phi_d(q^a t^b)^m exactly.
+def _integral(lam, *polys):
+    """(P_1, .., P_k, factors) for XPolys E_1, .., E_k whose denominators
+    divide D_lam: P_j = D E_j as an XNum, all over one D, given as a
+    sorted multiset of cyclotomic factors ((d, a, b), m) with
+    D = prod Phi_d(q^a t^b)^m exactly.
 
     Each distinct coefficient denominator is trial-divided once by the
     factors of D_lam, and what is left must be a unit monomial; D is the
-    lcm of the multisets found, so P takes no gcd."""
+    lcm of the multisets found, so the P_j take no gcd."""
     hhl = _hhl_factors(lam)
     split = {}
     coeffs = []
-    for c in E.terms.values():
+    for c in chain.from_iterable(E.terms.values() for E in polys):
         key = frozenset(c.den.items())
         if key not in split:
             den, have = c.den, []
@@ -183,8 +184,8 @@ def _integral(lam, E):
         coeffs.append(Factored({(a - qe, b - te): s * v
                                 for (a, b), v in c.num.items()}, have))
     factors, nums = over_lcm(coeffs)
-    return XNum(E.n, dict(zip(E.terms, nums)), factor_product(factors)), \
-        factors
+    nums = iter(nums)
+    return (*(XNum(E.n, dict(zip(E.terms, nums))) for E in polys), factors)
 
 
 def _swap(lam, i):
@@ -206,7 +207,8 @@ def _move(lam, i, P, factors):
     a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
     terms = (P.demazure_T(i).times({(0, -1): -1, (a, b - 1): 1}) +
              P.times({(0, -1): -1, (0, 0): 1})).terms
-    if terms.get(target) != _dict_mul({(0, 0): -1, (a, b): 1}, P.den):
+    if terms.get(target) != _dict_mul({(0, 0): -1, (a, b): 1},
+                                      factor_product(factors)):
         raise InternalError(
             f"the move at {lam}, i={i} breaks the lead identity t (1-d) D")
     merged = dict(factors)
@@ -221,8 +223,7 @@ def _move(lam, i, P, factors):
             terms, m = quo, m - 1
         if m:
             kept.append((f, m))
-    kept = tuple(kept)
-    return XNum(P.n, terms, factor_product(kept)), kept
+    return XNum(P.n, terms), tuple(kept)
 
 
 def _divide_all(terms, f):
@@ -240,8 +241,8 @@ def _divide_all(terms, f):
 def _reduce(P, factors):
     """The XPoly P / prod of factors, each coefficient reduced by trial
     division over the factors."""
-    return XPoly._raw(P.n, {e: Factored(c, factors).reduce()
-                            for e, c in P.terms.items()})
+    return XPoly.from_factored(P.n, ((e, Factored(c, factors))
+                                     for e, c in P.terms.items()))
 
 
 def _walk(lam, E, word, check):

@@ -158,12 +158,7 @@ def _config_sums(configs):
 
 def _reduced_poly(n, sums, scale=_ONE_F):
     """XPoly from factored coefficients, each scaled and reduced once."""
-    out = {}
-    for e, s in sums.items():
-        c = (s * scale).reduce()
-        if c:
-            out[e] = c
-    return XPoly._raw(n, out)
+    return XPoly.from_factored(n, ((e, s * scale) for e, s in sums.items()))
 
 
 def raw_trace_sum(lam, r=None):

@@ -78,7 +78,7 @@ def _murphy_table(lam, support):
     for nu in support:
         exps = []
         for i in range(1, n + 1):
-            img = murphy_apply(i, XNum(n, {nu: _ONE_D}, _ONE_D)).terms
+            img = murphy_apply(i, XNum(n, {nu: _ONE_D})).terms
             if not img.keys() <= inside:
                 raise InternalError(f"Y_{i} x^{nu} leaves the support of {lam}")
             d = img.get(nu, {})
@@ -190,7 +190,7 @@ def eigen_solve_E(lam):
         if bad is not None:
             raise NoSolution(f"the eigen equation of Y_{i} fails at "
                              f"x^{bad} for {lam}")
-    return XPoly._raw(n, {nu: c.reduce() for nu, c in coeffs.items()})
+    return XPoly.from_factored(n, coeffs.items())
 
 
 def schur(lam, n):
@@ -224,49 +224,21 @@ def schur(lam, n):
 
 
 def _div_linear(f, a, b):
-    """Exact division of f by (x_a - x_b), 1-based indices."""
+    """Exact division of f by (x_a - x_b), 1-based indices.  With f_k the
+    coefficient of x_a^k in f, the quotient's coefficient of x_a^(k-1) is
+    G_k = f_k + x_b G_(k+1), from the top degree down, and the remainder
+    f_0 + x_b G_1 must vanish."""
     buckets = {}
     for e, c in f.terms.items():
-        k = e[a - 1]
-        rest = e[:a - 1] + (0,) + e[a:]
-        buckets.setdefault(k, {})[rest] = c
-    if not buckets:
-        return XPoly.zero(f.n)
-
-    def shift_b(d):
-        out = {}
-        for e, c in d.items():
-            ne = list(e)
-            ne[b - 1] += 1
-            out[tuple(ne)] = c
-        return out
-
-    def add(d1, d2):
-        out = dict(d1)
-        for e, c in d2.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-        return out
-
-    deg = max(buckets)
-    quot = {}
-    g = {}  # G_k, starting from G_deg = 0
-    for k in range(deg, 0, -1):
-        g = add(buckets.get(k, {}), shift_b(g))
-        quot[k - 1] = g
-    rem = add(buckets.get(0, {}), shift_b(g))
-    if rem:
+        buckets.setdefault(e[a - 1], {})[e[:a - 1] + (0,) + e[a:]] = c
+    out, g = {}, {}
+    for k in range(max(buckets, default=0), -1, -1):
+        up = {e[:b - 1] + (e[b - 1] + 1,) + e[b:]: c for e, c in g.items()}
+        g = (XPoly._raw(f.n, buckets.get(k, {})) + XPoly._raw(f.n, up)).terms
+        if k:
+            out.update((e[:a - 1] + (k - 1,) + e[a:], c) for e, c in g.items())
+    if g:
         raise InternalNonDivisibility(f"(x{a} - x{b}) does not divide")
-    out = {}
-    for k, d in quot.items():
-        for e, c in d.items():
-            ne = list(e)
-            ne[a - 1] = k
-            out[tuple(ne)] = c
     return XPoly._raw(f.n, out)
 
 

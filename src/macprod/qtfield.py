@@ -17,6 +17,8 @@ every denominator is univariate or a product of binomials 1 - q^A t^B,
 whose cyclotomic factors Phi_d(q^a t^b) _split finds by trial division.
 _dict_gcd cancels by a univariate gcd or by trial division against those
 factors, and raises NonCyclotomicDenominator on any other denominator.
+A product or an inverse forms its denominator without a gcd, and checks
+it by _den_product or _gated instead.
 _canonical makes the reduced pair from a numerator and a denominator;
 QTRat(num, den), QTRat.monomial and Factored.reduce all end in it.  QTRat
 arithmetic (oracles, specialization) keeps its values reduced with gcds
@@ -210,6 +212,35 @@ def _gcd_by(u, v):
     return factor_product(found)
 
 
+def _variables(p):
+    """(whether q, whether t occurs in p) up to monomial content."""
+    q0, t0 = next(iter(p))
+    return any(k[0] != q0 for k in p), any(k[1] != t0 for k in p)
+
+
+def _gated(p):
+    """The polynomial p, or NonCyclotomicDenominator when it lies outside
+    the field: it is not univariate up to a monomial, nor +-c times a
+    product of factors Phi_d(q^a t^b) (_split)."""
+    if all(_variables(p)):
+        q0, t0 = min(k[0] for k in p), min(k[1] for k in p)
+        if _split({(i - q0, j - t0): v for (i, j), v in p.items()}) is None:
+            raise NonCyclotomicDenominator(
+                f"denominator {_poly_format(p)} is neither univariate nor "
+                f"a product of cyclotomic factors Phi_d(q^a t^b)")
+    return p
+
+
+def _den_product(b, d):
+    """b d for denominators b and d in the field.  Factors of one shape
+    (in q alone, in t alone, in both) or a constant factor keep it in the
+    field, since a bivariate denominator there is a product of factors
+    Phi_d(q^a t^b); a product of two shapes goes through _gated."""
+    vb, vd = _variables(b), _variables(d)
+    bd = _dict_mul(b, d)
+    return _gated(bd) if vb != vd and any(vb) and any(vd) else bd
+
+
 def _columns(a, axis):
     """The coefficients of a in variable number axis (0 for q, 1 for t),
     as dense lists."""
@@ -375,7 +406,7 @@ class QTRat:
             e = _dict_iadd(_dict_mul(self.num, d), _dict_mul(other.num, b))
             if not e:
                 return _ZERO
-            return QTRat._raw(e, _dict_mul(b, d))
+            return QTRat._raw(e, _den_product(b, d))
         b0 = _dict_divexact(b, g)
         d0 = _dict_divexact(d, g)
         e = _dict_iadd(_dict_mul(self.num, d0), _dict_mul(other.num, b0))
@@ -383,9 +414,9 @@ class QTRat:
             return _ZERO
         h = _dict_gcd(e, g)
         if h == _ONE_D:
-            return QTRat._raw(e, _dict_mul(b0, d))
+            return QTRat._raw(e, _den_product(b0, d))
         return QTRat._raw(_dict_divexact(e, h),
-                          _dict_mul(b0, _dict_divexact(d, h)))
+                          _den_product(b0, _dict_divexact(d, h)))
 
     __radd__ = __add__
 
@@ -417,14 +448,14 @@ class QTRat:
             a, d = _dict_divexact(a, g1), _dict_divexact(d, g1)
         if g2 != _ONE_D:
             c, b = _dict_divexact(c, g2), _dict_divexact(b, g2)
-        return QTRat._raw(_dict_mul(a, c), _dict_mul(b, d))
+        return QTRat._raw(_dict_mul(a, c), _den_product(b, d))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        num, den = self.den, self.num
+        num, den = self.den, _gated(self.num)
         if den[max(den)] < 0:
             num, den = _dict_neg(num), _dict_neg(den)
         return QTRat._raw(num, den)

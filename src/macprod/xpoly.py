@@ -8,14 +8,14 @@ which satisfies (T~_i - t)(T~_i + 1) = 0 and the braid relations, and the
 cyclic shift (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1}).
 
 T~_i has coefficients in Z[t], its inverse in Z[t, 1/t], and the shift
-only multiplies by powers of q.  So the operators are defined only on a
-denominator-cleared numerator (XNum): D f with coefficients in
-Z[q^+-1, t^+-1] and D a common denominator of f's coefficients, where
-each operator is exact ring arithmetic applied monomial by monomial from
-closed forms.  An XPoly reaches them only through hecke._integral, which
-finds D among the factors of the Haglund-Haiman-Loehr denominator and
-takes no gcd; the way back is the caller's, by trial division over those
-factors.
+only multiplies by powers of q.  So the operators are defined only on an
+XNum, a polynomial in x with coefficients in Z[q^+-1, t^+-1], where each
+operator is exact ring arithmetic applied monomial by monomial from
+closed forms.  An XPoly f reaches them as its numerator D f, made by
+hecke._integral, which finds D among the factors of the
+Haglund-Haiman-Loehr denominator and takes no gcd.  An XNum does not know
+its D: the caller keeps D, as a factor multiset, and the way back to an
+XPoly is XPoly.from_factored, by trial division over those factors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .errors import IndexOutOfRange
 from .qtfield import (_ONE_D, QTRat, _dict_iadd, _dict_mul,
-                      specialize as _spec_rat)
+                      specialize as _spec_rat, zero)
 
 _ONE = QTRat(1)
 
@@ -48,6 +48,13 @@ class XPoly:
         p.n = n
         p.terms = terms
         return p
+
+    @classmethod
+    def from_factored(cls, n, coeffs):
+        """The XPoly with coefficient c.reduce() at e for each pair (e, c)
+        of coeffs, c a qtfield.Factored value; zeros are dropped."""
+        reduced = ((e, c.reduce()) for e, c in coeffs)
+        return cls._raw(n, {e: c for e, c in reduced if c})
 
     def copy(self):
         """The same polynomial, sharing no dict with this one: its own
@@ -138,7 +145,6 @@ class XPoly:
         return XPoly._raw(self.n, {e: v * c for e, v in self.terms.items()})
 
     def coeff_of(self, exps):
-        from .qtfield import zero
         return self.terms.get(tuple(exps), zero())
 
     def is_homogeneous(self, d=None):
@@ -186,11 +192,7 @@ class XPoly:
         return XPoly._raw(self.n, out)
 
     def eval_ones(self):
-        from .qtfield import zero
-        total = zero()
-        for c in self.terms.values():
-            total = total + c
-        return total
+        return sum(self.terms.values(), zero())
 
     def sorted_terms(self):
         """Terms in graded-lex descending order."""
@@ -213,48 +215,44 @@ class XPoly:
             terms[e] = QTRat.from_obj(entry["coef"])
         return cls(n, terms)
 
-    def _mono_str(self, e, sep="*", pow_fmt="^%d", var="x%d"):
+    @staticmethod
+    def _mono_str(e, sep="*", pow_fmt="^%d", var="x%d"):
+        """The monomial x^e as text, or "" for x^0."""
         parts = []
         for i, ei in enumerate(e, start=1):
             if ei:
                 parts.append(var % i + (pow_fmt % ei if ei > 1 else ""))
         return sep.join(parts)
 
-    def __str__(self):
+    def _format(self, latex):
+        """Terms in graded-lex descending order, as text or as latex."""
         if not self.terms:
             return "0"
         chunks = []
         for e, c in self.sorted_terms():
-            mono = self._mono_str(e)
-            cs = str(c)
+            if latex:
+                mono = self._mono_str(e, " ", "^{%d}", "x_{%d}")
+                cs, paren, times = c.latex(), r"\left(%s\right)", r"\, "
+            else:
+                mono = self._mono_str(e)
+                cs, paren, times = str(c), "(%s)", "*"
             if not mono:
                 chunks.append(cs)
             elif c.is_one():
                 chunks.append(mono)
-            elif len(c.num) > 1 and c.den == _ONE_D:
-                chunks.append(f"({cs})*{mono}")
             else:
-                chunks.append(f"{cs}*{mono}")
+                if len(c.num) > 1 and c.den == _ONE_D:
+                    cs = paren % cs
+                chunks.append(cs + times + mono)
         return " + ".join(chunks)
+
+    def __str__(self):
+        return self._format(latex=False)
 
     __repr__ = __str__
 
     def latex(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            mono = self._mono_str(e, sep=" ", pow_fmt="^{%d}", var="x_{%d}")
-            if not mono:
-                chunks.append(c.latex())
-            elif c.is_one():
-                chunks.append(mono)
-            else:
-                cl = c.latex()
-                if len(c.num) > 1 and c.den == _ONE_D:
-                    cl = r"\left(%s\right)" % cl
-                chunks.append(f"{cl}\\, {mono}")
-        return " + ".join(chunks)
+        return self._format(latex=True)
 
 
 #### denominator-cleared numerators
@@ -294,50 +292,40 @@ def _image(kind, a, b):
 
 
 class XNum:
-    """D f for an XPoly f and a nonzero D: terms maps exponent tuples to
-    nonzero Laurent dicts over Z[q^+-1, t^+-1], den is D as a Laurent dict.
-    Coefficient dicts are shared between values and never mutated.
+    """A polynomial in x_1..x_n over Z[q^+-1, t^+-1]: terms maps exponent
+    tuples to nonzero Laurent dicts, shared between values and never
+    mutated.  It stands for D f, an XPoly f cleared by a nonzero D that
+    the caller keeps, so values compare and add as plain polynomials."""
 
-    Equality is equality of the values f, so two numerators over different
-    denominators compare by cross-multiplication."""
+    __slots__ = ("n", "terms")
 
-    __slots__ = ("n", "terms", "den")
-
-    def __init__(self, n, terms, den):
+    def __init__(self, n, terms):
         self.n = n
         self.terms = terms
-        self.den = den
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, XNum) or self.n != other.n:
-            return False
-        if self.den == other.den:
-            return self.terms == other.terms
-        return self.times(other.den).terms == other.times(self.den).terms
+        return (isinstance(other, XNum) and self.n == other.n
+                and self.terms == other.terms)
 
     def __add__(self, other):
         if self.n != other.n:
             raise IndexOutOfRange(f"mixed variable counts {self.n} and {other.n}")
-        a, b = self, other
-        if a.den != b.den:
-            a, b = a.times(b.den), b.times(a.den)
-        out = {e: dict(c) for e, c in a.terms.items()}
-        for e, c in b.terms.items():
+        out = {e: dict(c) for e, c in self.terms.items()}
+        for e, c in other.terms.items():
             _dict_iadd(out.setdefault(e, {}), c)
-        return XNum(self.n, {e: c for e, c in out.items() if c}, a.den)
+        return XNum(self.n, {e: c for e, c in out.items() if c})
 
     def times(self, m):
-        """Every coefficient times the Laurent dict m; den is kept, so the
-        value is multiplied by m."""
+        """Every coefficient times the Laurent dict m."""
         out = {}
         for e, c in self.terms.items():
             p = _dict_mul(c, m)
             if p:
                 out[e] = p
-        return XNum(self.n, out, self.den)
+        return XNum(self.n, out)
 
     def _apply(self, kind, i):
         if not 1 <= i <= self.n - 1:
@@ -359,7 +347,7 @@ class XNum:
                             acc[kk] = nv
                         else:
                             del acc[kk]
-        return XNum(self.n, {e: c for e, c in out.items() if c}, self.den)
+        return XNum(self.n, {e: c for e, c in out.items() if c})
 
     def demazure_T(self, i):
         return self._apply("T", i)
@@ -373,4 +361,4 @@ class XNum:
         for e, c in self.terms.items():
             out[e[1:] + (e[0],)] = \
                 {(qe + e[0], te): v for (qe, te), v in c.items()} if e[0] else c
-        return XNum(self.n, out, self.den)
+        return XNum(self.n, out)

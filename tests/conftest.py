@@ -1,9 +1,10 @@
 """The reference field for the tests.
 
 QTRat cancels through qtfield._dict_gcd, which accepts only denominators
-that are univariate or split into cyclotomic factors Phi_d(q^a t^b).  The
-references the tests compare against run instead on the whole field
-Q(q, t), with the bivariate PRS gcd of prs_gcd:
+that are univariate or split into cyclotomic factors Phi_d(q^a t^b), and
+the products and inverses that form a denominator without a gcd check it
+with qtfield._gated.  The references the tests compare against run instead
+on the whole field Q(q, t), with the bivariate PRS gcd of prs_gcd:
 
     with reference_field():
         want = rref_oracle.eigen_solve_E(lam)   # PRS gcd
@@ -22,14 +23,19 @@ from macprod import qtfield
 
 @contextmanager
 def reference_field():
-    """Inside the block QTRat cancels by the PRS gcd; the gcd in force
-    before it is restored on exit, so blocks nest."""
-    outer = qtfield._dict_gcd
-    qtfield._dict_gcd = prs_gcd.dict_gcd
+    """Inside the block QTRat cancels by the PRS gcd and takes every
+    denominator to lie in the field; the functions in force before it are
+    restored on exit, so blocks nest."""
+    outer = qtfield._dict_gcd, qtfield._gated
+    qtfield._dict_gcd, qtfield._gated = prs_gcd.dict_gcd, _whole_field
     try:
         yield
     finally:
-        qtfield._dict_gcd = outer
+        qtfield._dict_gcd, qtfield._gated = outer
+
+
+def _whole_field(p):
+    return p
 
 
 @contextmanager

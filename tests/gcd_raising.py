@@ -15,24 +15,22 @@ from macprod.compositions import raising_word, rho_of
 from macprod.errors import BranchResolutionFailure
 from macprod.hecke import eigen_failure
 from macprod.matprod import compute_f
-from macprod.xpoly import XNum
 
 
 @reference_field()
 def raise_E(lam, i, E):
     """E_{s_i lam} from the XPoly E_lam, for an ascent of lam at i."""
-    n = len(lam)
     target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
     rho2 = rho_of(lam)
     d = (lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2)
-    P = numerator(E)
+    P, _ = numerator(E)
     Q = P.demazure_T(i).times({(0, 0): 1, d: -1}) + \
         P.times({(0, 0): 1, (0, 1): -1})
     lead = Q.terms.get(target)
     if not lead or eigen_failure(target, Q) is not None:
         raise BranchResolutionFailure(
             f"the spectral branch fails at {lam}, i={i}")
-    return value(XNum(n, Q.terms, lead))
+    return value(Q, lead)
 
 
 def compute_E(lam, memo):

@@ -8,7 +8,8 @@ from macprod.compositions import check_composition, w_plus_inv
 from macprod.errors import IndexOutOfRange
 from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
-from macprod.qtfield import _ONE_D, QTRat, _dict_divexact, _dict_mul, zero
+from macprod.qtfield import (_ONE_D, QTRat, _dict_divexact, _dict_mul,
+                             factor_product, zero)
 from macprod.xpoly import XNum, XPoly
 
 
@@ -87,44 +88,48 @@ def eval_at(f, xs):
 
 @reference_field()
 def numerator(f):
-    """D f as an XNum for any XPoly f, D the lcm of its coefficient
-    denominators: one gcd per distinct denominator, in the reference field.
-    The package clears only by the HHL denominator (hecke._integral); this
-    works for any f."""
+    """(D f, D) for any XPoly f: D f as an XNum and D, the lcm of its
+    coefficient denominators, as a Laurent dict; one gcd per distinct
+    denominator, in the reference field.  The package clears only by the
+    HHL denominator (hecke._integral); this works for any f."""
     D = _ONE_D
     for den in {frozenset(c.den.items()): c.den
                 for c in f.terms.values()}.values():
         if den != D:
             D = _dict_mul(D, _dict_divexact(den, qtfield._dict_gcd(D, den)))
     return XNum(f.n, {e: _dict_mul(c.num, _dict_divexact(D, c.den))
-                      for e, c in f.terms.items()}, D)
+                      for e, c in f.terms.items()}), D
 
 
 @reference_field()
-def value(N):
-    """The XPoly N.terms / N.den, each coefficient reduced by a gcd in the
-    reference field."""
-    return XPoly._raw(N.n, {e: QTRat(c, N.den) for e, c in N.terms.items()})
+def value(N, D):
+    """The XPoly N / D for an XNum N and a Laurent dict D, each
+    coefficient reduced by a gcd in the reference field."""
+    return XPoly._raw(N.n, {e: QTRat(c, D) for e, c in N.terms.items()})
 
 
 def demazure_T(f, i):
     """T~_i on an XPoly, through its numerator."""
-    return value(numerator(f).demazure_T(i))
+    N, D = numerator(f)
+    return value(N.demazure_T(i), D)
 
 
 def demazure_T_inv(f, i):
     """T~_i^{-1} on an XPoly, through its numerator."""
-    return value(numerator(f).demazure_T_inv(i))
+    N, D = numerator(f)
+    return value(N.demazure_T_inv(i), D)
 
 
 def shift_omega(f):
     """f(x) -> f(q x_n, x_1, .., x_{n-1}) on an XPoly."""
-    return value(numerator(f).shift_omega())
+    N, D = numerator(f)
+    return value(N.shift_omega(), D)
 
 
 def murphy_apply(i, f):
     """Murphy element number i on an XPoly, through its numerator."""
-    return value(hecke.murphy_apply(i, numerator(f)))
+    N, D = numerator(f)
+    return value(hecke.murphy_apply(i, N), D)
 
 
 def lower_term_move(bad):
@@ -137,6 +142,6 @@ def lower_term_move(bad):
     def move(lam, i, P, factors):
         P, factors = real(lam, i, P, factors)
         if (lam, i) == bad:
-            P = XNum(P.n, {**P.terms, (0,) * P.n: P.den}, P.den)
+            P = XNum(P.n, {**P.terms, (0,) * P.n: factor_product(factors)})
         return P, factors
     return move

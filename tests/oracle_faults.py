@@ -22,7 +22,7 @@ LAM = (1, 0)
 def outside(i, f):
     """Every image gains a term of the wrong degree."""
     g = murphy_apply(i, f)
-    return XNum(g.n, {**g.terms, (9,) * g.n: {(0, 0): 1}}, g.den)
+    return XNum(g.n, {**g.terms, (9,) * g.n: {(0, 0): 1}})
 
 
 def repeated(i, f):
@@ -31,8 +31,7 @@ def repeated(i, f):
     (nu,) = f.terms
     if nu == LAM:
         return g
-    return XNum(g.n, {**g.terms, nu: {eigen_exponents(LAM)[i - 1]: 1}},
-                g.den)
+    return XNum(g.n, {**g.terms, nu: {eigen_exponents(LAM)[i - 1]: 1}})
 
 
 def skewed(i, f):
@@ -43,7 +42,7 @@ def skewed(i, f):
     if i < g.n:
         return g
     return XNum(g.n, {k: c if k == nu else {e: 2 * v for e, v in c.items()}
-                      for k, c in g.terms.items()}, g.den)
+                      for k, c in g.terms.items()})
 
 
 FAULTS = {"outside": (outside, InternalError),

@@ -19,7 +19,7 @@ import macprod
 from macprod import clear_caches, hecke, qtfield
 from macprod.cli import main
 from macprod.compositions import (antidominant, dominance_leq,
-                                  eigen_exponents, raising_word)
+                                  eigen_exponents, orbit, raising_word)
 from macprod.errors import (BranchResolutionFailure, IndexOutOfRange,
                             InternalError, NotRaisable)
 from macprod.hecke import (compute_E, eigen_check, raise_E,
@@ -135,6 +135,22 @@ def test_qkz_small():
     assert verify_qkz((1, 1))
     assert verify_qkz((2, 1, 0))
     assert verify_qkz((2, 2, 1, 1, 0, 0))
+
+
+def test_qkz_clears_the_orbit_once(monkeypatch):
+    calls = []
+    real = hecke._integral
+    monkeypatch.setattr(hecke, "_integral",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    assert verify_qkz((2, 1, 0))
+    assert calls == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("bad", orbit((2, 1, 0)))
+def test_qkz_names_a_member_that_gains_a_term(monkeypatch, bad):
+    monkeypatch.setattr(hecke, "compute_f", lambda lam: compute_f(lam) + (
+        XPoly.monomial((1, 1, 1)) if lam == bad else XPoly.zero(3)))
+    assert bad in {mu for mu, _ in hecke.qkz_failures((2, 1, 0))}
 
 
 def test_raise_E_hand():

@@ -70,10 +70,9 @@ def test_operators_match_definitions(fi):
 @settings(max_examples=40, deadline=None)
 @given(xpolys())
 def test_numerator_round_trip(f):
-    N = numerator(f)
-    assert value(N) == f
+    N, D = numerator(f)
+    assert value(N, D) == f
     assert N.times({(2, -1): 3}) == N.times({(2, -1): 1}).times({(0, 0): 3})
-    assert (N == numerator(f.scale(T))) == (not f)
 
 
 @settings(max_examples=40, deadline=None)

@@ -409,6 +409,31 @@ def test_non_cyclotomic_denominator_raises():
         assert QTRat(num, den) * (2 + q) == (1 + q) / (2 + t)
 
 
+def test_a_product_or_inverse_outside_the_field_raises_at_once():
+    # (2 + q)(2 + t) and 1 + q + t are formed without a gcd on them
+    with pytest.raises(NonCyclotomicDenominator):
+        one() / (2 + q) * (one() / (2 + t))
+    with pytest.raises(NonCyclotomicDenominator):
+        one() / (2 + q) + one() / (2 + t)
+    with pytest.raises(NonCyclotomicDenominator):
+        (1 + q + t).inverse()
+    # in the field a product takes only its two cancelling gcds, even of
+    # two shapes, and an inverse takes none
+    a, b, c = one() / (1 - q), one() / (1 - q * t), 2 + q
+    with gcd_checked() as calls:
+        ab = a * b
+        assert len(calls) == 2
+        inverses = [ab.inverse(), c.inverse()]
+        assert len(calls) == 2
+    assert inverses == [(1 - q) * (1 - q * t), one() / c]
+    # the reference field takes every denominator, such as the pivot
+    # q t^2 - q t - 1 of the row-reducing eigen oracle
+    with reference_field():
+        p = q * t * t - q * t - 1
+        assert p.inverse() * p == one()
+        assert one() / (2 + q) * (one() / (2 + t)) * (2 + q) == one() / (2 + t)
+
+
 def test_dict_gcd_cases():
     # q only: gcd(1 - q^4, 1 - q^6) = q^2 - 1
     assert _dict_gcd({(0, 0): 1, (4, 0): -1},
