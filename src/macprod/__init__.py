@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every lru_cache of the package's loaded modules: the traces
-    and f memos of matprod, the E memo of hecke (the only one it keeps),
-    the operator and factor tables, so that the next computation starts
-    cold.  A module not yet imported has no cache to empty."""
+    and f memos of matprod, the operator and factor tables and the CLI
+    parser, so that the next computation starts cold (hecke memoises no
+    E).  A module not yet imported has no cache to empty."""
     for name, module in list(sys.modules.items()):
         if name.startswith(__name__ + "."):
             for obj in vars(module).values():

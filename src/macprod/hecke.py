@@ -36,16 +36,15 @@ eigenfunction with lam's spectrum that is monic at x^lam, so compute_E
 walks raising_word(lam) from f_delta, certifies the E it hands out by one
 exact eigen check of the final numerator, then reduces each coefficient
 by trial division; when the check fails, the walk is replayed with every
-move checked and the error names the first bad move.  Only the E asked
-for is memoised: the intermediates of a walk are dropped as it goes, and
-one asked for later is walked and checked on its own.  A coefficient that
-D_lam does not clear, in the f_delta that starts a walk, on any qKZ
-member, in verify eigen or in the E given to raise_E, or a move whose
-lead identity fails, raises InternalError."""
+move checked and the error names the first bad move.  No E is
+memoised: the intermediates of a walk are dropped as it goes, and each
+call walks and checks its E afresh.  A coefficient that D_lam does not
+clear, in the f_delta that starts a walk, on any qKZ member, in verify
+eigen or in the E given to raise_E, or a move whose lead identity fails,
+raises InternalError."""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, chain
 
 from .compositions import (antidominant, check_composition, dominant,
@@ -274,14 +273,15 @@ def raise_E(lam, i, E):
     return _reduce(*_walk(lam, E, (i,), check=True))
 
 
-@lru_cache(maxsize=None)
-def _compute_E(lam):
-    """E_lam, certified: the walk along raising_word(lam) from f_delta
-    runs unchecked, and its final numerator passes one exact eigen check
-    with the spectrum of lam, then is reduced.  When that check fails, the
-    walk is replayed with every move checked; the last move's check is the
-    one that failed, so the replay always raises, naming the first bad
-    move."""
+def compute_E(lam):
+    """Non-symmetric Macdonald polynomial, monic at x^lam, certified: the
+    walk along raising_word(lam) from f_delta runs unchecked, and its
+    final numerator passes one exact eigen check with the spectrum of lam,
+    then is reduced.  When that check fails, the walk is replayed with
+    every move checked; the last move's check is the one that failed, so
+    the replay always raises, naming the first bad move.  No E is
+    memoised, so the caller owns the polynomial just built."""
+    lam = check_composition(lam)
     word = raising_word(lam)
     if not word:
         return compute_f(lam)
@@ -290,12 +290,6 @@ def _compute_E(lam):
     if eigen_failure(lam, P) is not None:
         _walk(delta, compute_f(delta), word, check=True)
     return _reduce(P, factors)
-
-
-def compute_E(lam):
-    """Non-symmetric Macdonald polynomial, monic at x^lam; the caller owns
-    the returned polynomial (the cache keeps its own)."""
-    return _compute_E(check_composition(lam)).copy()
 
 
 def _psums(mu):

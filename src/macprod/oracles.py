@@ -7,14 +7,18 @@ from the symmetrization formula, exclusion process weights from a
 generator null space, traces from partial sums.  The eigen solve shares
 only murphy_apply with the raising route, and it takes no gcd: the
 Murphy elements act on monomials triangularly (Cherednik, "Nonsymmetric
-Macdonald polynomials", IMRN 1995), with unit-monomial diagonals, so
-every pivot is a monomial times a binomial 1 - q^A t^B.
+Macdonald polynomials", IMRN 1995), Y_i x^nu being a unit monomial times
+x^nu plus terms later in _order, whose sorted shape is lower in
+dominance or equal with more ascents.  So the solve runs over the
+exponents at or after lam in that order with no search, checks each
+image term by term, and every pivot is a monomial times a binomial
+1 - q^A t^B.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from .compositions import (check_composition, check_partition, dominance_leq,
                            dominant, eigen_exponents, orbit)
@@ -66,21 +70,36 @@ def _degree_slice(n, d):
     return out
 
 
+def _order(nu):
+    """The sort key of x^nu in the triangular order of the Murphy elements:
+    the negated partial sums of nu's decreasing rearrangement, then the
+    number of ascents of nu (pairs i < j with nu_i < nu_j).  By Cherednik's
+    triangularity every off-diagonal term of Y_i x^nu lies strictly later."""
+    n = len(nu)
+    ascents = sum(1 for i in range(n) for j in range(i + 1, n)
+                  if nu[i] < nu[j])
+    return tuple(-s for s in accumulate(dominant(nu))) + (ascents,)
+
+
 def _murphy_table(lam, support):
     """(images, diag): images[i, nu] is the Murphy image Y_i x^nu as a dict
     of integral Laurent coefficients, and diag[nu] the tuple of its
-    diagonal exponents (q_exp, t_exp) over i.  Raises InternalError unless
-    every image stays in the support and every diagonal entry is a unit
-    monomial, with lam's diagonal its spectrum."""
+    diagonal exponents (q_exp, t_exp) over i.  Raises InternalError, naming
+    Y_i and x^nu, unless every off-diagonal term lies in the support and
+    strictly later than nu in _order and every diagonal entry is a unit
+    monomial; and unless lam's diagonal is its spectrum."""
     n = len(lam)
-    inside = set(support)
+    key = {nu: _order(nu) for nu in support}
     images, diag = {}, {}
     for nu in support:
         exps = []
         for i in range(1, n + 1):
             img = murphy_apply(i, XNum(n, {nu: _ONE_D})).terms
-            if not img.keys() <= inside:
-                raise InternalError(f"Y_{i} x^{nu} leaves the support of {lam}")
+            # a term outside the support counts as not later than nu
+            if any(kappa != nu and key.get(kappa, key[nu]) <= key[nu]
+                   for kappa in img):
+                raise InternalError(f"Y_{i} x^{nu} has a term outside the "
+                                    f"support of {lam} or not after x^{nu}")
             d = img.get(nu, {})
             if list(d.values()) != [1]:
                 raise InternalError(f"Y_{i} x^{nu} has diagonal entry {d}, "
@@ -91,32 +110,6 @@ def _murphy_table(lam, support):
     if diag[lam] != eigen_exponents(lam):
         raise InternalError(f"the diagonal at x^{lam} is not its spectrum")
     return images, diag
-
-
-def _topological(support, images):
-    """The support in an order where every off-diagonal edge nu -> kappa
-    of the image table runs forward; InternalError on a cycle."""
-    succ = {nu: {} for nu in support}
-    for (_, nu), img in images.items():
-        for kappa in img:
-            if kappa != nu:
-                succ[nu][kappa] = None
-    indeg = dict.fromkeys(support, 0)
-    for out in succ.values():
-        for kappa in out:
-            indeg[kappa] += 1
-    ready = [nu for nu in support if not indeg[nu]]
-    order = []
-    while ready:
-        nu = ready.pop()
-        order.append(nu)
-        for kappa in succ[nu]:
-            indeg[kappa] -= 1
-            if not indeg[kappa]:
-                ready.append(kappa)
-    if len(order) != len(support):
-        raise InternalError("the Murphy image table has a cycle")
-    return order
 
 
 def _inverse_gap(y, d):
@@ -136,41 +129,37 @@ def _inverse_gap(y, d):
 def eigen_solve_E(lam):
     """E_lam as the unique monic solution of the Murphy eigen-equations.
 
-    The ansatz support is the degree slice cut to sorted shapes dominated
-    by lam+.  Y_i x^nu is nu's diagonal monomial d_i(nu) times x^nu plus
-    terms at other exponents of the support, along an acyclic graph, so
-    the system is solved by triangular back-substitution: c_lam = 1 and,
-    in topological order, c_kappa = -sum_nu A_i[kappa, nu] c_nu /
-    (d_i(kappa) - y_i(lam)) at the first i where kappa's diagonal differs
-    from lam's spectrum.  Every gap is a monomial times a binomial
-    1 - q^A t^B, so the coefficients stay Factored and no gcd is taken.
-    An exponent other than lam whose diagonal repeats lam's spectrum
-    raises NonUnique; a residual of any equation, for any i, raises
-    NoSolution."""
+    The support is the degree slice cut to sorted shapes dominated by
+    lam+, keeping only the exponents at or after lam in _order, sorted by
+    it.  Y_i x^nu is nu's diagonal monomial d_i(nu) times x^nu plus terms
+    strictly later in the support (checked term by term), so the system
+    is solved by triangular back-substitution: c_lam = 1 and, in order,
+    c_kappa = -sum_nu A_i[kappa, nu] c_nu / (d_i(kappa) - y_i(lam)) at the
+    first i where kappa's diagonal differs from lam's spectrum.  Every
+    gap is a monomial times a binomial 1 - q^A t^B, so the coefficients
+    stay Factored and no gcd is taken.  An exponent of the support other
+    than lam whose diagonal repeats lam's spectrum raises NonUnique; a
+    residual of any equation, for any i, raises NoSolution."""
     lam = check_composition(lam)
     n, d = len(lam), sum(lam)
-    shape = dominant(lam)
-    support = [e for e in _degree_slice(n, d)
-               if dominance_leq(dominant(e), shape)]
+    shape, start = dominant(lam), _order(lam)
+    support = sorted((e for e in _degree_slice(n, d)
+                      if dominance_leq(dominant(e), shape)
+                      and _order(e) >= start), key=_order)
     images, diag = _murphy_table(lam, support)
     spectrum = diag[lam]
-    gap_index = {}
-    for nu in support:
-        if nu != lam:
-            k = next((k for k in range(n) if diag[nu][k] != spectrum[k]),
-                     None)
-            if k is None:
-                raise NonUnique(f"x^{nu} repeats the spectrum of {lam}")
-            gap_index[nu] = k
-    order = _topological(support, images)
     column = {}
     for (i, nu), img in images.items():
         for kappa, a in img.items():
             if kappa != nu:
                 column.setdefault((i, kappa), []).append((nu, a))
     coeffs = {lam: Factored(_ONE_D)}
-    for kappa in order[order.index(lam) + 1:]:
-        k = gap_index[kappa]
+    for kappa in support:
+        if kappa == lam:
+            continue
+        k = next((k for k in range(n) if diag[kappa][k] != spectrum[k]), None)
+        if k is None:
+            raise NonUnique(f"x^{kappa} repeats the spectrum of {lam}")
         s = Factored.sum(Factored(a) * coeffs[nu]
                          for nu, a in column.get((k + 1, kappa), ())
                          if nu in coeffs)

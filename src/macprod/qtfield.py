@@ -98,23 +98,6 @@ def _uni_gcd(u, v):
     return [c * x for x in u] if c > 1 else u
 
 
-def _uni_divexact(a, b):
-    # exact division in Z[t]; ArithmeticError when it is not exact
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    lb = b[-1]
-    while a and len(a) >= len(b):
-        d = len(a) - len(b)
-        c = a[-1] // lb
-        out[d] = c
-        for i, cb in enumerate(b):
-            a[i + d] -= c * cb
-        _trim(a)
-    if a:
-        raise ArithmeticError("inexact univariate division")
-    return _trim(out)
-
-
 #### sparse dict layer
 
 _ONE_D = {(0, 0): 1}
@@ -177,22 +160,17 @@ def _dict_gcd(a: dict, b: dict) -> dict:
     b = {(i - bmq, j - bmt): v // cb for (i, j), v in b.items()}
     g = _gcd_by(b, a)
     if g is None:
-        raise NonCyclotomicDenominator(
-            f"denominator {_poly_format(b)} is neither univariate nor a "
-            f"product of cyclotomic factors Phi_d(q^a t^b)")
+        _outside(b)
     out = {(gq + i, gt + j): c * v for (i, j), v in g.items()}
     return _dict_neg(out) if out[max(out)] < 0 else out
 
 
 def _gcd_by(u, v):
-    """gcd(u, v) of primitive polynomials with no monomial content, found
-    through u: the univariate gcd of a nonconstant u in one variable with
-    v's coefficients in the other, or the product of u's factors
-    Phi_d(q^a t^b) (_split) that trial division finds in v, else None.  A
-    constant u vouches for nothing, so a monomial numerator never lets a
-    denominator outside the field pass."""
-    if len(u) == 1:
-        return None
+    """gcd(u, v) of primitive polynomials with no monomial content and u
+    nonconstant, found through u: the univariate gcd of a u in one
+    variable with v's coefficients in the other, or the product of u's
+    factors Phi_d(q^a t^b) (_split) that trial division finds in v, else
+    None."""
     for axis in (0, 1):
         if all(k[1 - axis] == 0 for k in u):
             w = []
@@ -225,10 +203,14 @@ def _gated(p):
     if all(_variables(p)):
         q0, t0 = min(k[0] for k in p), min(k[1] for k in p)
         if _split({(i - q0, j - t0): v for (i, j), v in p.items()}) is None:
-            raise NonCyclotomicDenominator(
-                f"denominator {_poly_format(p)} is neither univariate nor "
-                f"a product of cyclotomic factors Phi_d(q^a t^b)")
+            _outside(p)
     return p
+
+
+def _outside(p):
+    raise NonCyclotomicDenominator(
+        f"denominator {_poly_format(p)} is neither univariate nor a "
+        f"product of cyclotomic factors Phi_d(q^a t^b)")
 
 
 def _den_product(b, d):
@@ -548,7 +530,8 @@ def specialize(r, q=None, t=None):
     num, a = _spec_poly(r.num, q, t)
     den, b = _spec_poly(r.den, q, t)
     if not den:
-        raise SpecializationPole(f"denominator vanishes under q={q!r}, t={t!r}")
+        raise SpecializationPole("denominator vanishes under " + ", ".join(
+            f"{v}={x}" for v, x in (("q", q), ("t", t)) if x is not None))
     return QTRat({k: v * b for k, v in num.items()},
                  {k: v * a for k, v in den.items()})
 
@@ -590,12 +573,13 @@ def _spec_poly(d, q, t):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d):
-    """Phi_d(x) as a tuple of ints, index = degree."""
-    p = [-1] + [0] * (d - 1) + [1]
+    """Phi_d(x) as a tuple of ints, index = degree: x^d - 1 divided by
+    each Phi_e(x) with e a proper divisor of d."""
+    p = {(0, 0): -1, (d, 0): 1}
     for e in range(1, d):
         if d % e == 0:
-            p = _uni_divexact(p, list(_cyclotomic_coeffs(e)))
-    return tuple(p)
+            p = _divide_factor(p, (e, 1, 0))
+    return tuple(p.get((k, 0), 0) for k in range(max(p)[0] + 1))
 
 
 @lru_cache(maxsize=None)
@@ -769,8 +753,8 @@ def _split(p):
 
 def factor_product(den):
     """prod Phi^m over a multiset of ((d, a, b), m) pairs, m >= 0, as a
-    Laurent dict."""
-    out = _ONE_D
+    new Laurent dict."""
+    out = dict(_ONE_D)
     for f, m in den:
         for _ in range(m):
             out = _dict_mul(out, _cyclotomic(f))

@@ -45,9 +45,20 @@ def skewed(i, f):
                       for k, c in g.terms.items()})
 
 
+def backward(i, f):
+    """Every monomial other than x^LAM gains a term at x^LAM, which is in
+    the support but comes first in the triangular order."""
+    g = murphy_apply(i, f)
+    (nu,) = f.terms
+    if nu == LAM:
+        return g
+    return XNum(g.n, {**g.terms, LAM: {(0, 0): 1}})
+
+
 FAULTS = {"outside": (outside, InternalError),
           "repeated": (repeated, NonUnique),
-          "skewed": (skewed, NoSolution)}
+          "skewed": (skewed, NoSolution),
+          "backward": (backward, InternalError)}
 
 
 def raised(name):

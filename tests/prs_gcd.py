@@ -10,8 +10,24 @@ check.
 
 from math import gcd as _igcd
 
-from macprod.qtfield import (_dict_neg, _trim, _uni_content, _uni_divexact,
-                             _uni_gcd)
+from macprod.qtfield import _dict_neg, _trim, _uni_content, _uni_gcd
+
+
+def _uni_divexact(a, b):
+    # exact division in Z[t]; ArithmeticError when it is not exact
+    a = a[:]
+    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
+    lb = b[-1]
+    while a and len(a) >= len(b):
+        d = len(a) - len(b)
+        c = a[-1] // lb
+        out[d] = c
+        for i, cb in enumerate(b):
+            a[i + d] -= c * cb
+        _trim(a)
+    if a:
+        raise ArithmeticError("inexact univariate division")
+    return _trim(out)
 
 
 def _uni_mul(a, b):

@@ -79,6 +79,15 @@ def test_specialize_swap_flag(capsys):
         assert code == 0 and out.strip() == "x1 + (q*t - t)/(q*t - 1)*x2"
 
 
+def test_a_pole_names_the_substitution_in_plain_form(capsys):
+    # E_(1,0) has denominator q t - 1
+    for spec, named in (("q=1,t=1", "q=1, t=1"), ("t=2,q=1/2", "q=1/2, t=2")):
+        code, out, err = run(capsys, "compute", "E", "--lambda", "1,0",
+                             "--specialize", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: denominator vanishes under {named}\n"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "compute", "f", "--lambda", "1,0,x")[0] == 2
     code, _, err = run(capsys, "compute", "f")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,19 @@ def test_cyclotomic_cache_is_read_only():
     with pytest.raises(TypeError):
         phi[(0, 0)] = 5
     assert qtfield._cyclotomic((2, 1, 1)) == {(0, 0): 1, (1, 1): 1}
+
+
+def test_cyclotomic_table_multiplies_back_to_x_d_minus_one():
+    # prod over e | d of Phi_e(x) is x^d - 1, and Phi_d has degree phi(d),
+    # checked by multiplication alone
+    for d in range(1, 61):
+        prod = {(0, 0): 1}
+        for e in range(1, d + 1):
+            if d % e == 0:
+                prod = _dict_mul(prod, qtfield._cyclotomic((e, 1, 0)))
+        assert prod == {(0, 0): -1, (d, 0): 1}, d
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        assert len(qtfield._cyclotomic_coeffs(d)) - 1 == phi, d
 
 
 def test_zero_and_cancellation():

@@ -226,21 +226,23 @@ def test_compute_E_result_is_owned_by_the_caller():
     assert compute_E((1, 0)) == E10
     compute_E((2, 0, 1)).terms.clear()
     assert compute_E((2, 0, 1)).coeff_of((2, 0, 1)).is_one()
-    # nor does a coefficient share a dict with the E cache, or with the f
-    # cache that the walk reads
+    # nor does a coefficient share a dict with the f cache that the walk
+    # reads, or with a constant of the field
     want = compute_E((2, 1, 0)).to_obj()
-    compute_E((2, 1, 0)).terms[(1, 1, 1)].num[(9, 9)] = 1
+    E = compute_E((2, 1, 0))
+    E.terms[(1, 1, 1)].num[(9, 9)] = 1
+    for c in E.terms.values():
+        c.den[(9, 9)] = 1
     assert compute_E((2, 1, 0)).to_obj() == want
     compute_f((0, 1, 2)).terms[(1, 1, 1)].num[(9, 9)] = 1
     # the f cache stays warm, so the walk rereads the f handed out above
-    hecke._compute_E.cache_clear()
     assert compute_E((2, 1, 0)).to_obj() == want
 
 
 def test_raising_covers_small_compositions():
     # all 117 compositions with 2-4 parts in {0, 1, 2}: monic at x^lam, a
-    # Murphy eigenfunction by the QTRat check, and the E memo agrees with
-    # a recomputation of the whole walk from cold caches
+    # Murphy eigenfunction by the QTRat check, and a second walk from cold
+    # caches agrees
     assert len(SMALL) == 117
     got = {}
     for lam in SMALL:
@@ -371,9 +373,10 @@ def test_clear_caches_empties_every_cache_of_the_package():
     assert main(["compute", "P", "--lambda", "2,1,0"]) == 0
     caches = {f"{m.__name__}.{name}": obj for m in modules
               for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    for name in ("hecke._compute_E", "matprod._trace",
+    for name in ("matprod._trace",
                  "matprod._compute_f", "xpoly._image", "cli.build_parser"):
         assert caches[f"macprod.{name}"].cache_info().currsize, name
+    assert not [name for name in caches if name.startswith("macprod.hecke.")]
     clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()
             if c.cache_info().currsize} == {}
@@ -417,9 +420,10 @@ def test_each_E_costs_one_exact_check(monkeypatch):
         compute_E(lam)
         assert checked == [lam]
         checked.clear()
+    # no E is memoised, so a repeated call is checked again
     for _ in range(2):
         compute_E((2, 0, 3, 1))
-    assert checked == [(2, 0, 3, 1)]
+    assert checked == [(2, 0, 3, 1)] * 2
     monkeypatch.undo()
     # every E handed out equals the walk of individually checked moves,
     # on a word that often differs from raising_word
@@ -438,17 +442,16 @@ def test_compute_E_moves_once_per_letter_of_its_word(monkeypatch):
     monkeypatch.setattr(hecke, "_move",
                         lambda *args: moves.append(args[:2]) or real(*args))
     # (2, 0, 3, 1) lies on the walk of (3, 2, 0, 1), and is walked again
-    # when asked for; a repeated call is a memo hit
+    # when asked for; no E is memoised, so a repeated call walks again
     for lam in ((3, 2, 0, 1), (2, 0, 3, 1)):
-        compute_E(lam)
-        assert len(moves) == len(raising_word(lam)), lam
-        moves.clear()
-        compute_E(lam)
-        assert moves == []
+        for _ in range(2):
+            compute_E(lam)
+            assert len(moves) == len(raising_word(lam)), lam
+            moves.clear()
 
 
 def test_no_integral_form_outlives_compute_E():
-    # only the reduced E asked for is memoised, never a numerator
+    # no numerator of a walk is kept once its E is handed out
     clear_caches()
     compute_E((3, 2, 0, 1))
     compute_E((4, 2, 1, 0))

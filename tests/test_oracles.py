@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import oracle_faults
 import rref_oracle
 from helpers import net_change
 from macprod import oracles as om
-from macprod.errors import ReducibleChain
+from macprod.errors import InternalError, ReducibleChain
 from macprod.hecke import compute_E
 from macprod.matprod import compute_P, compute_f
 from macprod.oracles import (CONVENTIONS, asep_stationary, eigen_solve_E,
@@ -56,6 +57,29 @@ def test_eigen_solve_invariants_raise(monkeypatch, name):
     monkeypatch.setattr(om, "murphy_apply", fake)
     with pytest.raises(error):
         eigen_solve_E(oracle_faults.LAM)
+
+
+@pytest.mark.parametrize("name, named", [("outside", "Y_1 x^(1, 0)"),
+                                         ("backward", "Y_1 x^(0, 1)")])
+def test_a_bad_image_term_names_its_murphy_element(monkeypatch, name,
+                                                    named):
+    monkeypatch.setattr(om, "murphy_apply", oracle_faults.FAULTS[name][0])
+    with pytest.raises(InternalError, match=re.escape(named)):
+        eigen_solve_E(oracle_faults.LAM)
+
+
+def test_eigen_solve_applies_murphy_only_from_lambda_on(monkeypatch):
+    # the support of (1, 0, 1, 2) is the four exponents at or after it in
+    # the triangular order; the 9 before it are never acted on
+    seen = []
+    real = om.murphy_apply
+    monkeypatch.setattr(om, "murphy_apply",
+                        lambda i, f: seen.append((i, *f.terms)) or real(i, f))
+    eigen_solve_E((1, 0, 1, 2))
+    assert len(seen) == 16
+    starts = {nu for _, nu in seen}
+    assert len(starts) == 4 and (1, 0, 1, 2) in starts
+    assert all(om._order(nu) >= om._order((1, 0, 1, 2)) for nu in starts)
 
 
 def test_eigen_solve_invariants_raise_under_optimize():

@@ -311,7 +311,7 @@ def test_specialize_swaps_q_and_t():
 
 def test_specialize_pole():
     r = 1 / (1 - q)
-    with pytest.raises(SpecializationPole):
+    with pytest.raises(SpecializationPole, match="under q=1$"):
         specialize(r, q=1)
     # but poles only count after reduction: (1-q)/(1-q) is 1
     s = (1 - q) / (1 - q)
