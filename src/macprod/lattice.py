@@ -16,16 +16,24 @@ t - 1, the twist contributes powers of q, and the Fock action only
 multiplies by 1 - t^m and monomials.  Scalars are therefore Laurent dicts
 {(q_exp, t_exp): int}, as in xpoly.XNum, and the whole evaluation and
 comparison runs on integer arithmetic with no division and no gcd.
+
+A relation is checked on the truncated Fock states whose occupations are
+all at most cutoff-2.  Each matrix position takes the formal difference
+of the two sides, merges its terms that carry the same word on every
+slot, and contracts the whole box of input states one slot at a time, so
+a word is walked once per slot and input occupation rather than once per
+input state.  The counterexample reported is the least failing input
+state in itertools.product order; eval_entry is the same contraction
+over a box of one state.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
 from .oscillator import LOWER, RAISE, kpow, walk
-from .qtfield import _ONE_D, QTRat, _dict_iadd, _dict_mul
+from .qtfield import _ONE_D, QTRat, _dict_iadd, _dict_mul, _dict_neg
 
 _T = QTRat.monomial(te=1)
 _T_MINUS_1 = _T - 1
@@ -250,51 +258,115 @@ def twist_term(r, space=None):
 
 #### truncated-state evaluation
 
+def _groups(terms, slot_index, n):
+    """Merge the terms that carry the same word on every slot.
+
+    Returns {words: {(xdeg, ydeg, q_exp, t_exp): int}}, words being a
+    tuple of n atom tuples aligned with slot_index (a dict slot ->
+    position); zero coefficients and empty groups are dropped."""
+    out = {}
+    for t in terms:
+        words = [()] * n
+        for slot, atoms in t.factors:
+            words[slot_index[slot]] = atoms
+        _dict_iadd(out.setdefault(tuple(words), {}),
+                   {(t.xdeg, t.ydeg) + k: v for k, v in t.scalar.items()})
+    return {w: c for w, c in out.items() if c}
+
+
+def _contract(groups, occupations, cutoff):
+    """Matrix elements of grouped terms over a box of input states.
+
+    occupations[i] lists the input occupations of slot i.  Slot by slot,
+    each group's word on that slot is walked once per input occupation,
+    and scalar * walk factor is added into a table keyed by the (input,
+    output) occupations of the slots done so far and grouped under the
+    words still to come, so terms that agree on the slots ahead merge as
+    soon as the slots behind them are contracted.  Zero entries are
+    dropped after each slot.  The slots run from the last to the first:
+    the k tails of the L rows sit on the high families, so their words
+    tell the terms apart and the low-family words left over coincide
+    sooner (about half the work of the first-to-last order on zf).
+    Returns {(in_state, out_state): {(xdeg, ydeg, q_exp, t_exp): int}},
+    nonzero."""
+    table = {(): groups}
+    for ms in reversed(occupations):
+        moves = {}   # word -> [(m, h, factor items, or None for the unit)]
+        nxt = {}
+        for key, rests in table.items():
+            for rest, coeff in rests.items():
+                word, tail = rest[-1], rest[:-1]
+                steps = moves.get(word)
+                if steps is None:
+                    steps = moves[word] = [
+                        (m, h, None if f == _ONE_D else tuple(f.items()))
+                        for m in ms for h, f in (walk(word, m, cutoff),)
+                        if h is not None]
+                for m, h, f in steps:
+                    tails = nxt.setdefault((m, h) + key, {})
+                    acc = tails.get(tail)
+                    if f is None:
+                        if acc is None:
+                            tails[tail] = dict(coeff)
+                        else:
+                            for k, v in coeff.items():
+                                acc[k] = acc.get(k, 0) + v
+                        continue
+                    if acc is None:
+                        acc = tails[tail] = {}
+                    for (qb, tb), vb in f:
+                        for (x, y, qa, ta), va in coeff.items():
+                            k = (x, y, qa + qb, ta + tb)
+                            acc[k] = acc.get(k, 0) + va * vb
+        table = {}
+        for key, tails in nxt.items():
+            kept = {}
+            for tail, c in tails.items():
+                c = {k: v for k, v in c.items() if v}
+                if c:
+                    kept[tail] = c
+            if kept:
+                table[key] = kept
+    return {(key[0::2], key[1::2]): tails[()] for key, tails in table.items()}
+
+
 def eval_entry(entry, slot_index, state, cutoff):
     """Matrix elements of a formal entry on |state>.
 
     Returns {out_state: {(xdeg, ydeg, q_exp, t_exp): int}}, the nonzero
     coefficients of x^xdeg y^ydeg q^q_exp t^t_exp in <out_state|entry|state>,
     keyed by occupation tuples aligned with slot_index (a dict slot ->
-    position)."""
-    out = {}
-    for t in entry:
-        occ = list(state)
-        fac = t.scalar
-        for slot, atoms in t.factors:
-            i = slot_index[slot]
-            h, f = walk(atoms, occ[i], cutoff)
-            if h is None:
-                break
-            fac = _dict_mul(fac, f)
-            occ[i] = h
-        else:
-            _dict_iadd(out.setdefault(tuple(occ), {}),
-                       {(t.xdeg, t.ydeg, qe, te): v for (qe, te), v in fac.items()})
-    return {k: v for k, v in out.items() if v}
+    position).  This is the contraction of matrices_first_mismatch over
+    the one-state box."""
+    groups = _groups(entry, slot_index, len(state))
+    return {out: c for (_, out), c in
+            _contract(groups, [(m,) for m in state], cutoff).items()}
 
 
 def matrices_first_mismatch(m1, m2, cutoff):
     """First disagreeing matrix element over all input states with
     occupations <= cutoff-2, as (position, slots, state), or None.
 
-    Evaluation is linear in the entry, so each position evaluates the
-    formal difference of the two entries once: it vanishes on a state
-    exactly when both sides agree there."""
+    Evaluation is linear in the entry, so each position contracts the
+    formal difference of the two entries over the whole box of input
+    states at once: it vanishes on a state exactly when both sides agree
+    there.  The state reported is the least failing one in the order of
+    itertools.product, which is tuple order."""
     if cutoff < 2:
         raise CutoffTooSmall("need cutoff >= 2 for the comparison margin")
     if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
         return ((), (), ())
     slots = sorted(m1.slots() | m2.slots())
     slot_index = {s: i for i, s in enumerate(slots)}
-    states = list(product(range(cutoff - 1), repeat=len(slots)))
+    box = [range(cutoff - 1)] * len(slots)
     for pos in sorted(set(m1.entries) | set(m2.entries)):
-        diff = entry_add(m1.entry(*pos), entry_scale(m2.entry(*pos), -1))
-        if not diff:
-            continue
-        for st in states:
-            if eval_entry(diff, slot_index, st, cutoff):
-                return (pos, tuple(slots), st)
+        diff = m1.entry(*pos) + tuple(t._replace(scalar=_dict_neg(t.scalar))
+                                      for t in m2.entry(*pos))
+        groups = _groups(diff, slot_index, len(slots))
+        if groups:
+            failing = _contract(groups, box, cutoff)
+            if failing:
+                return (pos, tuple(slots), min(inp for inp, _ in failing))
     return None
 
 

@@ -111,6 +111,21 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "eigen", "--lambda", "0,1")[0] == 0
     assert run(capsys, "verify", "recursion", "--lambda", "2,0,1")[0] == 0
     assert run(capsys, "verify", "oracle", "--lambda", "1,1")[0] == 0
+    for kind, cutoff in (("yba", 4), ("rll", 4), ("twist", 4), ("zf", 3)):
+        assert run(capsys, "verify", kind, "--rank", "4", "--cutoff",
+                   str(cutoff)) == (
+            0, f"verify {kind} rank=4 cutoff={cutoff}: pass\n", "")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv, code, out in ((["verify", "zf", "--rank", "2"], 0,
+                             "verify zf rank=2 cutoff=4: pass\n"),
+                            (["verify", "zf", "--rank", "0"], 2, "")):
+        proc = subprocess.run([sys.executable, "-m", "macprod", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
 
 def test_verify_oracle_on_five_parts(capsys):

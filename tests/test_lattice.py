@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,26 @@ def test_eval_entry_matches_qtrat_oracle(entry, cancel, cutoff, data):
     assert eval_entry(entry, idx, state, cutoff) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans(),
+       st.integers(2, 5))
+def test_box_contraction_matches_qtrat_oracle(entry, cancel, cutoff):
+    # the contraction over every input state of the truncation at once,
+    # where terms merge across input prefixes, against the oracle one
+    # state at a time
+    if cancel:
+        entry = entry + list(entry_scale(entry[:1], -1))
+    idx = {s: i for i, s in enumerate(SLOTS)}
+    box = [range(cutoff + 1)] * len(SLOTS)
+    got = {}
+    groups = lattice._groups(entry, idx, len(SLOTS))
+    for (inp, out), c in lattice._contract(groups, box, cutoff).items():
+        got.setdefault(inp, {})[out] = c
+    for state in product(*box):
+        want = oracle.flatten(oracle.eval_entry(entry, idx, state, cutoff))
+        assert got.get(state, {}) == want, state
+
+
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("kind", ["yba", "rll", "zf", "twist"])
 def test_mutation_located_as_by_oracle(kind, r, monkeypatch):
@@ -229,3 +251,19 @@ def test_mutation_located_as_by_oracle(kind, r, monkeypatch):
     assert matrices_first_mismatch(bad, rhs, 4) == want
     monkeypatch.setattr(lattice, "intertwining_sides", lambda k, rank: (bad, rhs))
     assert intertwining_mismatch(kind, r) == want
+
+
+@pytest.mark.parametrize("kind", ["yba", "zf"])
+def test_mismatch_away_from_the_vacuum_located_as_by_oracle(kind):
+    # an extra lhs term that lowers every slot vanishes on each state with
+    # an empty slot, so the first failing state has no zero occupation
+    lhs, rhs = intertwining_sides(kind, 3)
+    slots = sorted(lhs.slots() | rhs.slots())
+    positions = sorted(lhs.entries)
+    pos = positions[len(positions) // 2]
+    bad = OpMatrix(lhs.nrows, lhs.ncols, lhs.entries)
+    bad.set(*pos, lhs.entry(*pos)
+            + (term(xdeg=1, factors=[(s, (LOWER,)) for s in slots]),))
+    want = oracle.matrices_first_mismatch(bad, rhs, 4)
+    assert want == (pos, tuple(slots), (1,) * len(slots))
+    assert matrices_first_mismatch(bad, rhs, 4) == want
