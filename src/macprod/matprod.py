@@ -18,17 +18,22 @@ Every public entry point passes its input through one gate, _rank: the
 composition is checked, the rank defaults to the largest part, and a part
 above the rank raises IndexOutOfRange.
 
-compute_f and compute_P sum the chains level by level, memoised on (mu, j)
-within one call: each coefficient of Omega_lam f_lam stays an unreduced
-Factored value, and dividing by the q-binomial-type normalisation from the
+compute_f sums the chains level by level, memoised on (mu, j) within one
+call: each coefficient of Omega_lam f_lam stays an unreduced Factored
+value, and dividing by the q-binomial-type normalisation from the
 conjugate shape reduces it once, with no gcd, to f_lam monic at x^lam.
+compute_P takes this sum for the dominant member of the orbit alone and
+reaches the rest through the qKZ exchange relations f_{s_i mu} = T~_i f_mu,
+by the Hecke symmetriser on the numerator over one denominator.
 expand_configurations lists the chains themselves; it is the definitional
 oracle behind raw_trace_sum, verify_generating and the lhs of
-recursion_report.  Everything here is exact.
+recursion_report, so verify_generating checks compute_P against trace
+sums of every word.  Everything here is exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import product
 from operator import add
@@ -36,13 +41,13 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .compositions import (check_composition, check_partition, conjugate,
-                           dominant, multiplicities, orbit, star)
+                           dominant, multiplicities, star)
 from .errors import (IndexOutOfRange, InternalError, InternalNonPolynomial,
                      LengthMismatch)
 from .lattice import build_tildeL, term_mul, twist_term
 from .oscillator import trace_factored
-from .qtfield import Factored, QTRat
-from .xpoly import XPoly
+from .qtfield import Factored, QTRat, divide_out, over_lcm
+from .xpoly import XNum, XPoly
 
 _ONE_F = Factored({(0, 0): 1})
 
@@ -264,30 +269,59 @@ def verify_recursion(lam, r=None):
     return recursion_report(lam, r).ok
 
 
-def compute_P(lam, n=None):
-    """Symmetric sum of f_mu over all rearrangements of the partition.
+def _stabiliser(lam):
+    """The Poincare polynomial W_J(t) of the stabiliser of lam, the product
+    over the part multiplicities m of [m]_t!, as a sorted multiset of
+    cyclotomic factors Phi_d(t): [k]_t = (1 - t^k)/(1 - t)."""
+    w = _ONE_F
+    for m in Counter(lam).values():
+        for k in range(2, m + 1):
+            w = w * Factored.binomial(0, k, 1) * Factored.binomial(0, 1, -1)
+    return tuple((f, -m) for f, m in w.den)
 
-    Omega depends only on the sorted shape, so the raw sums of the whole
-    orbit (sharing one memo) are added and each coefficient is reduced
-    once."""
+
+def _over_stabiliser(N, lam):
+    """{exps: numerator} for the XNum N with every coefficient divided
+    exactly by W_J(t) of lam; a remainder raises InternalError."""
+    stab = _stabiliser(lam)
+    out = {}
+    for e, c in N.terms.items():
+        for f, m in stab:
+            c, k = divide_out(c, f, m)
+            if k < m:
+                raise InternalError(f"symmetrised f_{lam} at x^{e} is not "
+                                    f"divisible by its stabiliser")
+        out[e] = c
+    return out
+
+
+def compute_P(lam, n=None):
+    """The symmetric polynomial P_lam in n variables, monic at x^lam.
+
+    Only the dominant f_lam is a trace sum.  Its coefficients, Omega
+    included, go over one denominator D, and the Hecke symmetriser sums
+    T~_w D f_lam over all w in S_n.  Each w is u v with v in the
+    stabiliser of lam: T~_v acts by t^l(v) and T~_u f_lam = f_{u lam} (the
+    qKZ exchange relations), so the sum is W_J(t) D P_lam.  W_J divides out
+    exactly by trial division, and each coefficient is reduced once."""
     lam = check_partition(lam)
     if n is None:
         n = len(lam)
     if n < len(lam):
         raise LengthMismatch(f"{n} variables cannot hold {lam}")
     padded, r = _rank(tuple(lam) + (0,) * (n - len(lam)), None)
-    memo = {}
-    groups = {}
-    for mu in orbit(padded):
-        for e, c in _raw_sums(mu, r, memo).items():
-            groups.setdefault(e, []).append(c)
-    P = _reduced_poly(n, _sum_groups(groups), _omega(padded, r, 1))
+    sums = _raw_sums(padded, r, {})
+    omega = _omega(padded, r, 1)
+    den, nums = over_lcm([c * omega for c in sums.values()])
+    N = XNum(n, dict(zip(sums, nums))).symmetrise()
+    P = XPoly.from_factored(n, ((e, Factored(c, den)) for e, c in
+                                _over_stabiliser(N, padded).items()))
     if not P.is_symmetric():
-        raise InternalError(f"orbit sum of {lam} failed to symmetrise")
+        raise InternalError(f"symmetrised f_{padded} is not symmetric")
     if not P.is_homogeneous(sum(padded)):
-        raise InternalError(f"orbit sum of {lam} is not homogeneous")
+        raise InternalError(f"symmetrised f_{padded} is not homogeneous")
     if not P.coeff_of(padded).is_one():
-        raise InternalError(f"orbit sum of {lam} is not monic at x^lam")
+        raise InternalError(f"symmetrised f_{padded} is not monic at x^lam")
     return P
 
 

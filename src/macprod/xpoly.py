@@ -16,6 +16,8 @@ hecke._integral, which finds D among the factors of the
 Haglund-Haiman-Loehr denominator and takes no gcd.  An XNum does not know
 its D: the caller keeps D, as a factor multiset, and the way back to an
 XPoly is XPoly.from_factored, by trial division over those factors.
+XNum.symmetrise applies the sum of T~_w over the whole symmetric group in
+n(n-1)/2 generator steps; matprod.compute_P builds P from it.
 """
 
 from __future__ import annotations
@@ -354,6 +356,19 @@ class XNum:
 
     def demazure_T_inv(self, i):
         return self._apply("Tinv", i)
+
+    def symmetrise(self):
+        """The Hecke symmetriser: the sum over w in S_n of T~_w applied to
+        this value.  S_{k+1} = S_k {1, s_k, s_k s_{k-1}, .., s_k .. s_1}, so
+        the sum is C_1 C_2 .. C_{n-1} with C_{n-1} applied first, and each
+        C_k = 1 + T~_k (1 + T~_{k-1} (.. (1 + T~_1))) takes k steps."""
+        out = self
+        for k in range(self.n - 1, 0, -1):
+            acc = out
+            for j in range(1, k + 1):
+                acc = out + acc.demazure_T(j)
+            out = acc
+        return out
 
     def shift_omega(self):
         """Rotate exponents and pay q^(e_1)."""

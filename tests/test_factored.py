@@ -2,6 +2,7 @@
 in the reference field (conftest.reference_field) so that it shares no
 trial division with the Factored code it checks."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from macprod.matprod import (compute_P, compute_f, expand_configurations,
                              raw_trace_sum)
 from macprod.qtfield import (Factored, QTRat, _dict_mul, binomial_factors,
                              zero)
-from macprod.xpoly import XPoly
+from macprod.xpoly import XNum, XPoly
 
 # binomials 1 - q^A t^B, gcd(A, B) > 1 included (1 - t^4, 1 - q^2 t^2)
 binomials = st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 4), (2, 2), (1, 2),
@@ -188,18 +189,32 @@ def test_bool_parts_rejected():
         compute_f((True, 0, 1))
 
 
+def _short_symmetrise(self):
+    """XNum.symmetrise with the top generator left out of its first stage:
+    a symmetriser that misses part of S_n."""
+    out = self
+    for k in range(self.n - 1, 0, -1):
+        acc = out
+        for j in range(1, k if k == self.n - 1 else k + 1):
+            acc = out + acc.demazure_T(j)
+        out = acc
+    return out
+
+
 def test_compute_P_raises_when_not_symmetric(monkeypatch):
-    monkeypatch.setattr(matprod, "orbit", lambda lam: [lam])
-    with pytest.raises(InternalError):
-        compute_P((2, 1))
+    monkeypatch.setattr(XNum, "symmetrise", _short_symmetrise)
+    for lam in ((2, 1), (2, 1, 0)):
+        with pytest.raises(InternalError, match="not symmetric"):
+            compute_P(lam)
 
 
 def test_internal_error_exit_3_under_optimize():
     # invariants are raises, not asserts, so -O keeps them
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; from macprod import cli, matprod; "
-            "matprod.orbit = lambda lam: [lam]; "
-            "sys.exit(cli.main(['compute', 'P', '--lambda', '2,1']))")
+    code = (inspect.getsource(_short_symmetrise) +
+            "import sys\nfrom macprod import cli, xpoly\n"
+            "xpoly.XNum.symmetrise = _short_symmetrise\n"
+            "sys.exit(cli.main(['compute', 'P', '--lambda', '2,1,0']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)

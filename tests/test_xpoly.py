@@ -10,7 +10,7 @@ from helpers import (bracket, demazure_T, demazure_T_inv, eval_at,
                      shift_omega)
 from macprod.errors import InternalNonDivisibility
 from macprod.qtfield import QTRat, one
-from macprod.xpoly import XPoly
+from macprod.xpoly import XNum, XPoly
 
 t = QTRat.monomial(te=1)
 q = QTRat.monomial(qe=1)
@@ -126,6 +126,46 @@ def test_symmetric_polynomials_are_t_eigen():
         assert demazure_T(f, i) == f.scale(t)
     assert f.is_symmetric()
     assert not (f + x(1, 3)).is_symmetric()
+
+
+def _sum_over_words(N):
+    """sum over w in S_n of T~_w N: a breadth-first walk reaches each
+    permutation once, by a reduced word, with T~_w N beside it."""
+    level = {tuple(range(N.n)): N}
+    seen = set(level)
+    total = N
+    while level:
+        nxt = {}
+        for w, M in level.items():
+            for i in range(1, N.n):
+                v = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+                if v not in seen:
+                    seen.add(v)
+                    nxt[v] = M.demazure_T(i)
+                    total = total + nxt[v]
+        level = nxt
+    return total
+
+
+def rand_num(rng, n, deg=2, nterms=4):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randrange(deg + 1) for _ in range(n))
+        qt = (rng.randrange(2), rng.randrange(2))
+        terms[e] = {qt: rng.choice((-2, 1, 3))}
+    return XNum(n, terms)
+
+
+def test_symmetrise_is_the_sum_over_the_group():
+    rng = random.Random(27)
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            N = rand_num(rng, n)
+            S = N.symmetrise()
+            assert S == _sum_over_words(N)
+            # the sum is symmetric: T~_i acts on it by t
+            for i in range(1, n):
+                assert S.demazure_T(i) == S.times({(0, 1): 1})
 
 
 def test_mul_and_eval():
