@@ -25,6 +25,18 @@ whole orbit.  No gcd is taken here.  Each Murphy word acts on D f in
 Z[q^+-1, t^+-1][x] and is compared exactly with the eigenvalue times
 D f; scaling by a nonzero D is injective, so this is the full check.
 
+Every operator here runs on xpoly.XPack, the Kronecker-packed form of an
+XNum, in which a coefficient is one integer and a generator step is a
+few shifted big-int adds per monomial of x.  Each caller packs what it
+acts on with xpoly.pack and declares what it will do: eigen_failure
+n - 1 generator steps and t shifts of up to n - 1 either way (a Murphy
+word and its eigenvalue), _move one step and products whose l1 norms
+multiply to 2, qkz_failures one step and a product with t.  pack sizes
+the digits from the l1 bound those steps reach, so a value whose bound
+or exponents outgrow the layout raises InternalError instead of
+wrapping.  Comparisons are int equality, and nothing is unpacked except
+the Q of a move, whose trial divisions stay on Laurent dicts.
+
 Raising is one integral walk, _walk, shared by compute_E, its failure
 replay and raise_E.  It holds only the current (P, factors), P = D E
 over a known factor multiset, unchecked and unreduced.  A move forms
@@ -54,11 +66,11 @@ from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
 from .matprod import compute_f
 from .qtfield import (Factored, QTRat, _dict_mul, _divide_factor,
                       binomial_factors, divide_out, factor_product, over_lcm)
-from .xpoly import XNum, XPoly
+from .xpoly import XNum, XPoly, pack
 
 
 def murphy_apply(i, N):
-    """Murphy element number i acting on the XNum N: the chain of inverse
+    """Murphy element number i acting on the XPack N: the chain of inverse
     generators 1..i-1, the q-shift, then generators n-1 down to i.  Every
     step is Z[q^+-1, t^+-1]-linear, so on N = D f it gives D (Y_i f)."""
     n = N.n
@@ -76,9 +88,13 @@ def eigen_failure(lam, N):
     """The first Murphy index i at which the XNum N (of any scale, in
     len(lam) variables) fails Y_i N = q^a t^b N with q^a t^b the i-th
     eigenvalue of lam, or None when every equation holds.  Each Murphy
-    word is compared exactly with q^a t^b N."""
+    word, n - 1 generator steps and the shift on N packed, is compared
+    exactly with q^a t^b N; the eigenvalue's t exponent lies within
+    n - 1 of 0, as the words' t shifts do."""
+    n = N.n
+    P, = pack((N,), n - 1, t_down=n - 1, t_up=n - 1)
     for i, (qe, te) in enumerate(eigen_exponents(lam), start=1):
-        if murphy_apply(i, N) != N.times({(qe, te): 1}):
+        if murphy_apply(i, P) != P.times({(qe, te): 1}):
             return i
     return None
 
@@ -110,12 +126,14 @@ def qkz_failures(lam_plus):
     partition, as (member, relation description) pairs.
 
     Relations: the equal-part relation T f = t f, the descent relation
-    T f_mu = f_{s_i mu}, and the q-cycling of the shift."""
+    T f_mu = f_{s_i mu}, and the q-cycling of the shift.  The members are
+    cleared over one D and packed in one layout, for one generator step
+    and a product with t."""
     lam_plus = dominant(lam_plus)
     members = orbit(lam_plus)
     *nums, _ = _integral(antidominant(lam_plus),
                          *(compute_f(mu) for mu in members))
-    fs = dict(zip(members, nums))
+    fs = dict(zip(members, pack(nums, 1, t_up=1)))
     n = len(lam_plus)
     bad = []
     for mu, f in fs.items():
@@ -198,14 +216,16 @@ def _move(lam, i, P, factors):
 
     d = q^a t^b (a, b > 0) is the spectral-vector quotient of the two
     swapped positions, and Q = (1-d) T~_i P + (1-t) P.  P' = -Q/t is
-    formed directly, its lead identity P'[target] = (d-1) D is checked
+    formed on P packed, one generator step and products with two-term
+    dicts, and unpacked; its lead identity P'[target] = (d-1) D is checked
     (InternalError), and P' is carried over the factors of D and of 1-d,
-    whose product is (d-1) D."""
+    whose product is (d-1) D, by trial division on the Laurent dicts."""
     target = _swap(lam, i)
     rho2 = rho_of(lam)
     a, b = lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2
-    terms = (P.demazure_T(i).times({(0, -1): -1, (a, b - 1): 1}) +
-             P.times({(0, -1): -1, (0, 0): 1})).terms
+    X, = pack((P,), 1, 2, t_down=1, t_up=b)
+    terms = (X.demazure_T(i).times({(0, -1): -1, (a, b - 1): 1}) +
+             X.times({(0, -1): -1, (0, 0): 1})).unpack().terms
     if terms.get(target) != _dict_mul({(0, 0): -1, (a, b): 1},
                                       factor_product(factors)):
         raise InternalError(

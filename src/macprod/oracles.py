@@ -5,13 +5,15 @@ the Murphy eigen-equations, solved by triangular back-substitution over
 factored denominators, Schur from tableau enumeration, Hall-Littlewood
 from the symmetrization formula, exclusion process weights from a
 generator null space, traces from partial sums.  The eigen solve shares
-only murphy_apply with the raising route, and it takes no gcd: the
-Murphy elements act on monomials triangularly (Cherednik, "Nonsymmetric
-Macdonald polynomials", IMRN 1995), Y_i x^nu being a unit monomial times
-x^nu plus terms later in _order, whose sorted shape is lower in
-dominance or equal with more ascents.  So the solve runs over the
-exponents at or after lam in that order with no search, checks each
-image term by term, and every pivot is a monomial times a binomial
+only the closed forms xpoly._image with the raising route: it applies
+the Murphy elements to single monomials by its own dict action, not by
+the packed kernel, which a prototype found 2-3 times slower there.  It takes no
+gcd: the Murphy elements act on monomials triangularly (Cherednik,
+"Nonsymmetric Macdonald polynomials", IMRN 1995), Y_i x^nu being a unit
+monomial times x^nu plus terms later in _order, whose sorted shape is
+lower in dominance or equal with more ascents.  So the solve runs over
+the exponents at or after lam in that order with no search, checks
+each image term by term, and every pivot is a monomial times a binomial
 1 - q^A t^B.
 """
 
@@ -24,11 +26,10 @@ from .compositions import (check_composition, check_partition, dominance_leq,
                            dominant, eigen_exponents, orbit)
 from .errors import (InternalError, InternalNonDivisibility, NoSolution,
                      NonUnique, ReducibleChain)
-from .hecke import murphy_apply
 from .oscillator import parse_word
 from .qtfield import (_ONE_D, Factored, QTRat, _dict_iadd, _dict_mul, one,
                       over_lcm)
-from .xpoly import XNum, XPoly
+from .xpoly import XNum, XPoly, _image
 
 _ONE = one()
 _T = QTRat.monomial(te=1)
@@ -79,6 +80,44 @@ def _order(nu):
     ascents = sum(1 for i in range(n) for j in range(i + 1, n)
                   if nu[i] < nu[j])
     return tuple(-s for s in accumulate(dominant(nu))) + (ascents,)
+
+
+def _apply(kind, i, terms):
+    """T~_i ("T") or its inverse ("Tinv") on the terms of an XNum, one
+    Laurent monomial at a time from the closed forms of _image."""
+    k = i - 1
+    out = {}
+    for e, c in terms.items():
+        head, tail = e[:k], e[k + 2:]
+        for (a, b), row in _image(kind, e[k], e[k + 1]):
+            key = head + (a, b) + tail
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for s, m in row:
+                for (qe, te), v in c.items():
+                    kk = (qe, te + s)
+                    nv = acc.get(kk, 0) + m * v
+                    if nv:
+                        acc[kk] = nv
+                    else:
+                        del acc[kk]
+    return {e: c for e, c in out.items() if c}
+
+
+def murphy_apply(i, f):
+    """Murphy element number i on the XNum f, as hecke.murphy_apply
+    composes it: T~^{-1} 1..i-1, the shift x^e -> q^(e_1) x^(e rotated),
+    then T~ n-1 down to i."""
+    n = f.n
+    terms = f.terms
+    for j in range(i - 1, 0, -1):
+        terms = _apply("Tinv", j, terms)
+    terms = {e[1:] + (e[0],): {(qe + e[0], te): v for (qe, te), v in c.items()}
+             if e[0] else c for e, c in terms.items()}
+    for j in range(n - 1, i - 1, -1):
+        terms = _apply("T", j, terms)
+    return XNum(n, terms)
 
 
 def _murphy_table(lam, support):

@@ -2,13 +2,15 @@
 denominator, kept as a test reference.
 
 Each move clears the denominators of E_lam with one gcd per distinct
-denominator (`helpers.numerator`), forms Q = (1-d) T~_i P + (1-t) P,
-certifies it by the Murphy eigen check and divides by Q's coefficient at
-the target monomial with one gcd per coefficient (`helpers.value`).  It
-trusts no lead identity and no denominator bound, so it checks both.  Its
-gcds run in the reference field.
+denominator (`helpers.numerator`), forms Q = (1-d) T~_i P + (1-t) P with
+the dict operators of `xnum_dict`, certifies it by the Murphy eigen check
+and divides by Q's coefficient at the target monomial with one gcd per
+coefficient (`helpers.value`).  It trusts no lead identity and no
+denominator bound, so it checks both.  Its gcds run in the reference
+field.
 """
 
+import xnum_dict
 from conftest import reference_field
 from helpers import numerator, value
 from macprod.compositions import raising_word, rho_of
@@ -24,8 +26,9 @@ def raise_E(lam, i, E):
     rho2 = rho_of(lam)
     d = (lam[i] - lam[i - 1], (rho2[i] - rho2[i - 1]) // 2)
     P, _ = numerator(E)
-    Q = P.demazure_T(i).times({(0, 0): 1, d: -1}) + \
-        P.times({(0, 0): 1, (0, 1): -1})
+    Q = xnum_dict.add(xnum_dict.times(xnum_dict.demazure_T(P, i),
+                                      {(0, 0): 1, d: -1}),
+                      xnum_dict.times(P, {(0, 0): 1, (0, 1): -1}))
     lead = Q.terms.get(target)
     if not lead or eigen_failure(target, Q) is not None:
         raise BranchResolutionFailure(

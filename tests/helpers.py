@@ -10,7 +10,7 @@ from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
 from macprod.qtfield import (_ONE_D, QTRat, _dict_divexact, _dict_mul,
                              factor_product, zero)
-from macprod.xpoly import XNum, XPoly
+from macprod.xpoly import XNum, XPoly, pack
 
 
 def bracket(m, c=0):
@@ -108,28 +108,35 @@ def value(N, D):
     return XPoly._raw(N.n, {e: QTRat(c, D) for e, c in N.terms.items()})
 
 
+def packed(N, steps):
+    """The XNum N packed for `steps` generator steps either way."""
+    X, = pack((N,), steps, t_down=steps, t_up=steps)
+    return X
+
+
 def demazure_T(f, i):
-    """T~_i on an XPoly, through its numerator."""
+    """T~_i on an XPoly, through its packed numerator."""
     N, D = numerator(f)
-    return value(N.demazure_T(i), D)
+    return value(packed(N, 1).demazure_T(i).unpack(), D)
 
 
 def demazure_T_inv(f, i):
-    """T~_i^{-1} on an XPoly, through its numerator."""
+    """T~_i^{-1} on an XPoly, through its packed numerator."""
     N, D = numerator(f)
-    return value(N.demazure_T_inv(i), D)
+    return value(packed(N, 1).demazure_T_inv(i).unpack(), D)
 
 
 def shift_omega(f):
     """f(x) -> f(q x_n, x_1, .., x_{n-1}) on an XPoly."""
     N, D = numerator(f)
-    return value(N.shift_omega(), D)
+    return value(packed(N, 0).shift_omega().unpack(), D)
 
 
 def murphy_apply(i, f):
-    """Murphy element number i on an XPoly, through its numerator."""
+    """Murphy element number i on an XPoly, through its packed
+    numerator."""
     N, D = numerator(f)
-    return value(hecke.murphy_apply(i, N), D)
+    return value(hecke.murphy_apply(i, packed(N, f.n - 1)).unpack(), D)
 
 
 def lower_term_move(bad):

@@ -1,7 +1,7 @@
 """Faulty Murphy image tables for the invariant checks of the triangular
 eigen oracle.
 
-Each fault wraps the real murphy_apply and breaks one property that
+Each fault wraps the oracle's own murphy_apply and breaks one property that
 oracles.eigen_solve_E relies on, and FAULTS names the error it must raise.
 Run as a script, the module patches oracles.murphy_apply with each fault
 in turn and prints name:error pairs, so the checks can be run under
@@ -13,7 +13,7 @@ python -O:
 from macprod import oracles
 from macprod.compositions import eigen_exponents
 from macprod.errors import InternalError, MacprodError, NoSolution, NonUnique
-from macprod.hecke import murphy_apply
+from macprod.oracles import murphy_apply
 from macprod.xpoly import XNum
 
 LAM = (1, 0)

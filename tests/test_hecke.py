@@ -27,7 +27,7 @@ from macprod.hecke import (compute_E, eigen_check, raise_E,
 from macprod.matprod import compute_f
 from macprod.oracles import eigen_solve_E
 from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
-from macprod.xpoly import XNum, XPoly
+from macprod.xpoly import XNum, XPack, XPoly
 
 Q = QTRat.monomial(qe=1)
 T = QTRat.monomial(te=1)
@@ -373,8 +373,8 @@ def test_clear_caches_empties_every_cache_of_the_package():
     assert main(["compute", "P", "--lambda", "2,1,0"]) == 0
     caches = {f"{m.__name__}.{name}": obj for m in modules
               for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    for name in ("matprod._trace",
-                 "matprod._compute_f", "xpoly._image", "cli.build_parser"):
+    for name in ("matprod._trace", "matprod._compute_f", "xpoly._image",
+                 "xpoly._bias", "cli.build_parser"):
         assert caches[f"macprod.{name}"].cache_info().currsize, name
     assert not [name for name in caches if name.startswith("macprod.hecke.")]
     clear_caches()
@@ -456,7 +456,7 @@ def test_no_integral_form_outlives_compute_E():
     compute_E((3, 2, 0, 1))
     compute_E((4, 2, 1, 0))
     gc.collect()
-    assert sum(isinstance(o, XNum) for o in gc.get_objects()) == 0
+    assert sum(isinstance(o, (XNum, XPack)) for o in gc.get_objects()) == 0
 
 
 # the third of five moves on the walk of (3, 2, 0, 1)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtrat_hecke as oracle
+import xnum_dict
 from helpers import (demazure_T, demazure_T_inv, murphy_apply, numerator,
                      shift_omega, value)
 from macprod.hecke import compute_E, eigen_check
 from macprod.qtfield import QTRat, _dict_mul
-from macprod.xpoly import XPoly
+from macprod.xpoly import XPoly, pack
 
 T = QTRat.monomial(te=1)
 ONE = QTRat(1)
@@ -72,7 +73,10 @@ def test_operators_match_definitions(fi):
 def test_numerator_round_trip(f):
     N, D = numerator(f)
     assert value(N, D) == f
-    assert N.times({(2, -1): 3}) == N.times({(2, -1): 1}).times({(0, 0): 3})
+    X, = pack((N,), 0, 3, t_down=1)
+    assert X.times({(2, -1): 3}) == X.times({(2, -1): 1}).times({(0, 0): 3})
+    assert X.times({(2, -1): 3}).unpack() == \
+        xnum_dict.times(N, {(2, -1): 3})
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import qtrat_hecke as oracle
+import xnum_dict
 from helpers import (bracket, demazure_T, demazure_T_inv, eval_at,
                      shift_omega)
 from macprod.errors import InternalNonDivisibility
@@ -141,8 +142,8 @@ def _sum_over_words(N):
                 v = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
                 if v not in seen:
                     seen.add(v)
-                    nxt[v] = M.demazure_T(i)
-                    total = total + nxt[v]
+                    nxt[v] = xnum_dict.demazure_T(M, i)
+                    total = xnum_dict.add(total, nxt[v])
         level = nxt
     return total
 
@@ -165,7 +166,8 @@ def test_symmetrise_is_the_sum_over_the_group():
             assert S == _sum_over_words(N)
             # the sum is symmetric: T~_i acts on it by t
             for i in range(1, n):
-                assert S.demazure_T(i) == S.times({(0, 1): 1})
+                assert xnum_dict.demazure_T(S, i) == \
+                    xnum_dict.times(S, {(0, 1): 1})
 
 
 def test_mul_and_eval():
