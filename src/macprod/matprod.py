@@ -4,15 +4,17 @@ The nested column product A(x) = tL^(r)(x) .. tL^(1)(x) is enumerated one
 level at a time.  A level-j transfer from mu to nu picks, in variable x_i,
 the entry of tL^(j) in row mu_i and column nu_i < j; the level operator is
 the product of those entries followed by the level-j twist (lattice's
-term_mul and twist_term), and its weight is the product of the traces of
-its family words.  Family f (2 <= f <= j) is raised once by each row with
-mu_i = f that leaves the diagonal column f-1 and lowered once by each row
-that lands in column f-1 from another part, so every family balances
-exactly when nu is a rearrangement of star(mu); an unbalanced family
-traces to zero, and only these transfers are enumerated.  A
-configuration (one lattice path nu_r = part, .., nu_0 = 0 per row) is a
-chain of transfers down to rank 0, with the product of the level weights
-as its weight.
+twist_term), and its weight is the product of the traces of its family
+words: the atoms the rows take from tL^(j) on that family, in row order,
+then the twist atom.  Family f (2 <= f <= j) is raised once by each row
+with mu_i = f that leaves the diagonal column f-1 and lowered once by
+each row that lands in column f-1 from another part, so every family
+balances exactly when nu is a rearrangement of star(mu); an unbalanced
+family traces to zero.  So only these transfers are generated: a walk
+over the rows takes a column only while star(mu) still owes it, and no
+other row combination is visited.  A configuration (one lattice path
+nu_r = part, .., nu_0 = 0 per row) is a chain of transfers down to rank
+0, with the product of the level weights as its weight.
 
 Every public entry point passes its input through one gate, _rank: the
 composition is checked, the rank defaults to the largest part, and a part
@@ -20,8 +22,11 @@ above the rank raises IndexOutOfRange.
 
 compute_f sums the chains level by level, memoised on (mu, j) within one
 call: each coefficient of Omega_lam f_lam stays an unreduced Factored
-value, and dividing by the q-binomial-type normalisation from the
-conjugate shape reduces it once, with no gcd, to f_lam monic at x^lam.
+value.  Levels 1 and 2 are written directly, since level 1 is x^mu alone
+and each level-2 coefficient is one cancelled trace; from level 3 on
+each coefficient is a sum over its lcm, cancelled once.  Dividing by
+the q-binomial-type normalisation from the conjugate shape reduces it
+once, with no gcd, to f_lam monic at x^lam.
 compute_P takes this sum for the dominant member of the orbit alone and
 reaches the rest through the qKZ exchange relations f_{s_i mu} = T~_i f_mu,
 by the Hecke symmetriser on the numerator over one denominator.
@@ -34,7 +39,7 @@ sums of every word.  Everything here is exact.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from operator import add
 from types import MappingProxyType
@@ -44,17 +49,12 @@ from .compositions import (check_composition, check_partition, conjugate,
                            dominant, multiplicities, star)
 from .errors import (IndexOutOfRange, InternalError, InternalNonPolynomial,
                      LengthMismatch)
-from .lattice import build_tildeL, term_mul, twist_term
+from .lattice import build_tildeL, twist_term
 from .oscillator import trace_factored
 from .qtfield import Factored, QTRat, divide_out, over_lcm
 from .xpoly import XNum, XPoly
 
 _ONE_F = Factored({(0, 0): 1})
-
-
-@lru_cache(maxsize=None)
-def _tl(level):
-    return build_tildeL(level, space=level)
 
 
 @lru_cache(maxsize=None)
@@ -74,37 +74,93 @@ def _rank(lam, r):
     return lam, r
 
 
+@lru_cache(maxsize=None)
+def _level(r):
+    """tL^(r) and its twist as the walk reads them, (rows, twist).
+    rows[p] maps the column of each nonzero entry of row p, in ascending
+    order, to (xdeg, atoms), with atoms the entry's word on each family
+    2..r, empty or one atom; twist holds each family's twist atom."""
+    rows = [{} for _ in range(r + 1)]
+    if r:  # tL^(0) has no column
+        for (part, col), e in sorted(build_tildeL(r, space=r).entries.items()):
+            words = dict(e[0].factors)
+            rows[part][col] = (e[0].xdeg, tuple(words.get((r, f), ())
+                                                for f in range(2, r + 1)))
+    twist = tuple(atoms for _, atoms in twist_term(r, space=r).factors)
+    return tuple(map(MappingProxyType, rows)), twist
+
+
+def _weight(words, twist):
+    """The unreduced product of the traces of the family words, each with
+    its twist atom appended; zero as soon as one trace is."""
+    w = _ONE_F
+    for word, atoms in zip(words, twist):
+        x = _trace(word + atoms)
+        if not x:
+            return x
+        w = x if w is _ONE_F else w * x
+    return w
+
+
 def _transfers(lam, r):
     """Balanced level-r transfers out of lam, those with mu a
     rearrangement of star(lam), as (mu, exps, weight) in lexicographic
-    order of mu: row i takes the entry (lam_i, mu_i) of
-    tL^(r), and weight is the unreduced product of the family traces of
-    the twisted level operator.  Transfers of weight zero are dropped."""
-    rows = [[(col, _tl(r).entry(part, col)[0]) for col in range(r)
-             if _tl(r).entry(part, col)] for part in lam]
-    shape = sorted(star(lam))
-    twist = twist_term(r, space=r)
-    out = []
-    for combo in product(*rows):
-        mu = tuple(col for col, _ in combo)
-        if sorted(mu) != shape:
-            continue
-        op = reduce(term_mul, [t for _, t in combo] + [twist])
-        weight = _ONE_F
-        for _, word in op.factors:
-            weight = weight * _trace(word)
-        if weight:
-            out.append((mu, tuple(t.xdeg for _, t in combo), weight))
+    order of mu: row i takes the entry (lam_i, mu_i) of tL^(r), and weight
+    is the unreduced product of the traces of the family words of the
+    twisted level operator.  Transfers of weight zero are dropped.
+
+    The balanced transfers are generated, not filtered: a depth-first walk
+    over the rows counts how often each column of star(lam) is still owed
+    and takes only such columns, in ascending order.  Each family word is
+    the rows' atoms in row order."""
+    table, twist = _level(r)
+    rows = [table[part] for part in lam]
+    owed = Counter(star(lam))
+    mu, exps, out = [], [], []
+
+    def walk(i, words):
+        if i == len(rows):
+            w = _weight(words, twist)
+            if w:
+                out.append((tuple(mu), tuple(exps), w))
+            return
+        for col, (xdeg, atoms) in rows[i].items():
+            if owed[col]:
+                owed[col] -= 1
+                mu.append(col)
+                exps.append(xdeg)
+                walk(i + 1, tuple(map(add, words, atoms)))
+                owed[col] += 1
+                mu.pop()
+                exps.pop()
+
+    walk(0, ((),) * (r - 1))
     return out
 
 
 def _raw_sums(lam, r, memo):
     """Omega_lam f_lam by levels as {exps: Factored}, each coefficient
-    summed over its lcm and cancelled; memo is keyed on (lam, r)."""
+    cancelled; memo is keyed on (lam, r).
+
+    Every entry of tL^(r) in a row p >= 1 has x-degree 1, and row 0 has
+    x-degree 0, so level 1 is x^lam alone and level 2 holds one transfer
+    per exponent: its trace, already cancelled, is the coefficient of
+    x^([lam >= 1] + mu).  Only levels 3 and up sum over an lcm."""
     key = (lam, r)
     if key not in memo:
         if r <= 0:
             memo[key] = {(0,) * len(lam): _ONE_F}
+        elif r == 1:
+            memo[key] = {lam: _ONE_F}
+        elif r == 2:
+            sums = {}
+            for mu, exps, w in _transfers(lam, r):
+                e = tuple(map(add, exps, mu))
+                if e in sums:
+                    raise InternalError(f"two level-2 transfers out of {lam} "
+                                        f"reach x^{e}")
+                sums[e] = w
+            memo[key] = sums
         else:
             groups = {}
             for mu, exps, w in _transfers(lam, r):
@@ -217,7 +273,19 @@ def transition(lam, mu, r=None):
         raise LengthMismatch(f"{lam} vs {mu}")
     if mu and max(mu) > r - 1:
         raise IndexOutOfRange(f"column index {max(mu)} needs rank > {r}")
-    return dict(transfer_table(lam, r)[1]).get(mu, XPoly.zero(len(lam)))
+    zero = XPoly.zero(len(lam))
+    if sorted(mu) != sorted(star(lam)):
+        return zero
+    table, twist = _level(r)
+    words, exps = ((),) * (r - 1), []
+    for part, col in zip(lam, mu):
+        entry = table[part].get(col)
+        if entry is None:
+            return zero
+        exps.append(entry[0])
+        words = tuple(map(add, words, entry[1]))
+    w = _weight(words, twist)
+    return XPoly.monomial(tuple(exps), w.reduce()) if w else zero
 
 
 def _prefactor(lam, r):

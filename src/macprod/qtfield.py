@@ -604,10 +604,22 @@ def _divide_factor(num, factor):
 
     A polynomial in x = q^a t^b maps each line (i, j) + k (a, b) into
     itself, so the division splits into univariate ones along the lines.
+    Phi_1(x) = x - 1 and Phi_2(x) = x + 1 divide a line exactly when it
+    vanishes at x = 1, resp. x = -1, so for d <= 2 a line whose sum, resp.
+    alternating sum, is not 0 rejects num before any division.
     """
-    p = _cyclotomic_coeffs(factor[0])
-    a, b = factor[1], factor[2]
+    d, a, b = factor
     step = a * a + b * b
+    if d <= 2:
+        sums = {}
+        for (i, j), c in num.items():
+            if d == 2 and (i * a + j * b) // step % 2:
+                c = -c
+            key = b * i - a * j
+            sums[key] = sums.get(key, 0) + c
+        if any(sums.values()):
+            return None
+    p = _cyclotomic_coeffs(d)
     dp = len(p) - 1
     lines = {}
     for (i, j), c in num.items():
@@ -695,10 +707,11 @@ class Factored:
 
     def reduce(self):
         """The canonical QTRat: after cancel() no listed factor divides the
-        numerator, so _canonical needs no gcd."""
+        numerator, so _canonical needs no gcd.  The value owns its dicts:
+        a numerator that comes through unchanged is copied."""
         x = self.cancel()
-        return QTRat._raw(*_canonical(x.num, factor_product(x.den),
-                                      coprime=True))
+        num, den = _canonical(x.num, factor_product(x.den), coprime=True)
+        return QTRat._raw(dict(num) if num is self.num else num, den)
 
 
 def divide_out(num, factor, m):

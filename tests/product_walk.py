@@ -1,12 +1,17 @@
-"""The row-path product walk that `expand_configurations` replaced, and
-the per-family balance filter that the shape rule of `matprod._transfers`
-replaced, kept as test references.
+"""Product-then-filter enumerations, kept as test references.
 
-Every row lists all of its admissible lattice paths through the reduced
-L-matrices of levels r..1; the walk takes every combination of one path
-per row and keeps those whose occupation change balances in each
-(level, family) slot.  It visits prod_i #paths(lam_i) combinations, so
-it is only usable on small compositions.
+`product_configurations` is the row-path product walk that
+`expand_configurations` replaced.  Every row lists all of its admissible
+lattice paths through the reduced L-matrices of levels r..1; the walk
+takes every combination of one path per row and keeps those whose
+occupation change balances in each (level, family) slot.  It visits
+prod_i #paths(lam_i) combinations, so it is only usable on small
+compositions.
+
+`level_transfers` is the reference for the walk of `matprod._transfers`,
+which generates only the balanced transfers, column by owed column: it
+takes every combination of one tL^(r) entry per row and keeps those whose
+family words balance.
 """
 
 from functools import lru_cache

@@ -380,6 +380,14 @@ def test_basis_golden_outputs():
     assert golden_mismatches("basis") == []
 
 
+def test_basis_golden_outputs_in_shuffled_orders_from_cold_caches():
+    # no job's output depends on the row, twist or trace tables that an
+    # earlier job filled
+    for seed in (1, 2, 3):
+        clear_caches()
+        assert golden_mismatches("basis", random.Random(seed)) == [], seed
+
+
 def test_raising_golden_outputs():
     # every job of the benchmark's raising pool, byte for byte
     assert golden_mismatches("raising") == []

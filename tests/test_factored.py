@@ -20,8 +20,8 @@ from macprod.compositions import check_composition, is_partition
 from macprod.errors import InternalError
 from macprod.matprod import (compute_P, compute_f, expand_configurations,
                              raw_trace_sum)
-from macprod.qtfield import (Factored, QTRat, _dict_mul, binomial_factors,
-                             zero)
+from macprod.qtfield import (Factored, QTRat, _dict_iadd, _dict_mul,
+                             binomial_factors, zero)
 from macprod.xpoly import XNum, XPoly
 
 # binomials 1 - q^A t^B, gcd(A, B) > 1 included (1 - t^4, 1 - q^2 t^2)
@@ -118,6 +118,72 @@ def test_cyclotomic_table_multiplies_back_to_x_d_minus_one():
         assert prod == {(0, 0): -1, (d, 0): 1}, d
         phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
         assert len(qtfield._cyclotomic_coeffs(d)) - 1 == phi, d
+
+
+def _reference_divide_factor(num, factor):
+    """qtfield._divide_factor without its line-sum test: synthetic
+    division along each line (i, j) + k (a, b), None at the first line
+    that leaves a remainder."""
+    p = qtfield._cyclotomic_coeffs(factor[0])
+    a, b = factor[1], factor[2]
+    step = a * a + b * b
+    dp = len(p) - 1
+    lines = {}
+    for (i, j), c in num.items():
+        lines.setdefault(b * i - a * j, []).append((i * a + j * b, i, j, c))
+    out = {}
+    for terms in lines.values():
+        s0, i0, j0, _ = min(terms)
+        u = [0] * ((max(terms)[0] - s0) // step + 1)
+        if len(u) <= dp:
+            return None
+        for s, _, _, c in terms:
+            u[(s - s0) // step] = c
+        for k in range(len(u) - 1, dp - 1, -1):
+            c = u[k]
+            if c:
+                out[(i0 + (k - dp) * a, j0 + (k - dp) * b)] = c
+                for e, pc in enumerate(p):
+                    u[k - dp + e] -= c * pc
+        if any(u):
+            return None
+    return out
+
+
+laurent = st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                          max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6),
+       st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)]),
+       laurent, monomials, st.integers(-2, 2).filter(bool), laurent)
+def test_divide_factor_matches_the_reference(d, direction, g, at, bump, h):
+    factor = (d,) + direction
+    num = _dict_mul(g, qtfield._cyclotomic(factor))
+    assert qtfield._divide_factor(num, factor) == g
+    # one coefficient moved: that line alone fails, the others divide
+    one_line = _dict_iadd(dict(num), {at: bump})
+    assert qtfield._divide_factor(one_line, factor) is None
+    assert _reference_divide_factor(one_line, factor) is None
+    for p in (h, _dict_iadd(dict(num), h), _dict_mul(num, h)):
+        assert qtfield._divide_factor(p, factor) == \
+            _reference_divide_factor(p, factor)
+
+
+def test_line_sums_decide_division_by_phi_1_and_phi_2():
+    # 1 + q t = Phi_2(q t): on its line the sum is 2, the alternating sum 0
+    one_plus = {(0, 0): 1, (1, 1): 1}
+    assert qtfield._divide_factor(one_plus, (2, 1, 1)) == {(0, 0): 1}
+    assert qtfield._divide_factor(one_plus, (1, 1, 1)) is None
+    # q^-1 t^2 (1 - q^2 t^2) = -q^-1 t^2 Phi_1(q t) Phi_2(q t)
+    num = {(-1, 2): 1, (1, 4): -1}
+    assert qtfield._divide_factor(num, (2, 1, 1)) == {(-1, 2): 1, (0, 3): -1}
+    assert qtfield._divide_factor(num, (1, 1, 1)) == {(-1, 2): -1, (0, 3): -1}
+    # two lines of direction (1, 0): 1 - q + t (1 + q) has one of each
+    num = {(0, 0): 1, (1, 0): -1, (0, 1): 1, (1, 1): 1}
+    assert qtfield._divide_factor(num, (1, 1, 0)) is None
+    assert qtfield._divide_factor(num, (2, 1, 0)) is None
 
 
 def test_zero_and_cancellation():

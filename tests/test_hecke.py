@@ -373,8 +373,8 @@ def test_clear_caches_empties_every_cache_of_the_package():
     assert main(["compute", "P", "--lambda", "2,1,0"]) == 0
     caches = {f"{m.__name__}.{name}": obj for m in modules
               for name, obj in vars(m).items() if hasattr(obj, "cache_info")}
-    for name in ("matprod._trace", "matprod._compute_f", "xpoly._image",
-                 "xpoly._bias", "cli.build_parser"):
+    for name in ("matprod._trace", "matprod._level", "matprod._compute_f",
+                 "xpoly._image", "xpoly._bias", "cli.build_parser"):
         assert caches[f"macprod.{name}"].cache_info().currsize, name
     assert not [name for name in caches if name.startswith("macprod.hecke.")]
     clear_caches()

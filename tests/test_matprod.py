@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macprod import clear_caches, matprod
-from macprod.errors import IndexOutOfRange, LengthMismatch
+from macprod.errors import IndexOutOfRange, InternalError, LengthMismatch
 from macprod.hecke import eigen_check
-from macprod.matprod import (_ONE_F, _transfers, compute_P, compute_f,
-                             expand_configurations, generating_trace,
-                             omega_norm, raw_trace_sum, recursion_prefactor,
-                             recursion_report, transfer_table, transition,
-                             verify_generating, verify_recursion)
+from macprod.matprod import (_ONE_F, _raw_sums, _transfers, compute_P,
+                             compute_f, expand_configurations,
+                             generating_trace, omega_norm, raw_trace_sum,
+                             recursion_prefactor, recursion_report,
+                             transfer_table, transition, verify_generating,
+                             verify_recursion)
 from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
 from product_walk import level_transfers, product_configurations
@@ -62,21 +67,61 @@ def test_configurations_match_product_walk(parts, above):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=1, max_size=6), st.booleans())
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=7), st.booleans())
 def test_shape_rule_matches_family_balance(parts, above):
-    # the shape rule (mu a rearrangement of star(lam)) keeps exactly the
-    # row combinations whose families all balance; with every trace
-    # stubbed to 1 no combination is dropped for a zero weight
+    # the walk over the owed columns of star(lam) keeps exactly the row
+    # combinations whose families all balance; with every trace stubbed
+    # to 1 no combination is dropped for a zero weight.  The rank stays
+    # at most 4, where the reference visits at most 4^7 combinations
     lam = tuple(parts)
-    r = max(lam) + above
+    r = min(max(lam) + above, 4)
     kept = level_transfers(lam, r)
     with mock.patch.object(matprod, "_trace", lambda word: _ONE_F):
         assert [mu for mu, _, _ in _transfers(lam, r)] == \
             [mu for mu, _, _ in kept]
-    # the weights built from the lattice operators match the per-family
+    # the weights built from the cached row atoms match the per-family
     # words with the twist atom appended
     got = [(mu, exps, w.reduce()) for mu, exps, w in _transfers(lam, r)]
     assert got == [(mu, exps, w.reduce()) for mu, exps, w in kept if w]
+
+
+def test_level_1_is_x_to_the_mu():
+    for n in range(1, 7):
+        for mu in product((0, 1), repeat=n):
+            sums = _raw_sums(mu, 1, {})
+            assert list(sums) == [mu]
+            assert sums[mu].reduce().is_one()
+
+
+def test_level_2_coefficients_are_cancelled_traces():
+    # each level-2 exponent is reached by one transfer, whose trace is
+    # already cancelled, so the level stores it without a sum
+    for n in range(1, 7):
+        for lam in product(range(3), repeat=n):
+            for e, c in _raw_sums(lam, 2, {}).items():
+                x = c.cancel()
+                assert (dict(x.num), x.den) == (dict(c.num), c.den), (lam, e)
+
+
+def _doubled_transfers(lam, r, real=_transfers):
+    return real(lam, r) * 2
+
+
+def test_a_repeated_level_2_exponent_raises(monkeypatch):
+    monkeypatch.setattr(matprod, "_transfers", _doubled_transfers)
+    with pytest.raises(InternalError, match="reach x"):
+        _raw_sums((2, 1, 0), 2, {})
+    # invariants are raises, not asserts, so -O keeps them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\nfrom macprod import cli, matprod\n"
+            "real = matprod._transfers\n"
+            "matprod._transfers = lambda lam, r: real(lam, r) * 2\n"
+            "sys.exit(cli.main(['compute', 'f', '--lambda', '2,1,0']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "reach x" in proc.stderr
 
 
 def test_part_above_rank_is_rejected():
@@ -183,6 +228,28 @@ def test_transition_guards():
 def test_transition_monomial_shape():
     w = transition((3, 1, 0, 2), (2, 0, 0, 1))
     assert set(w.terms) == {(1, 1, 0, 1)}
+
+
+def test_transition_is_the_transfer_table_entry():
+    # transition builds one transfer; the table walks them all
+    for n in range(1, 5):
+        for lam in product(range(4), repeat=n):
+            for r in (max(lam), max(lam) + 1):
+                table = dict(transfer_table(lam, r)[1])
+                zero = XPoly.zero(n)
+                for mu in product(range(r), repeat=n):
+                    assert transition(lam, mu, r) == table.get(mu, zero), \
+                        (lam, mu, r)
+
+
+def test_transition_weight_is_owned_by_the_caller():
+    # a level-2 weight is one cached trace, -1/(q - 1) here; its value
+    # shares no dict with the trace cache
+    c, = transition((2, 0), (1, 0), 2).terms.values()
+    want = c.to_obj()
+    c.num[(9, 9)] = 1
+    c, = transition((2, 0), (1, 0), 2).terms.values()
+    assert c.to_obj() == want
 
 
 def test_transfer_table_lists_the_recursion_terms():
