@@ -114,28 +114,31 @@ def _transfers(lam, r):
     and takes only such columns, in ascending order.  Each family word is
     the rows' atoms in row order."""
     table, twist = _level(r)
-    rows = [table[part] for part in lam]
-    owed = Counter(star(lam))
-    mu, exps, out = [], [], []
-
-    def walk(i, words):
-        if i == len(rows):
-            w = _weight(words, twist)
-            if w:
-                out.append((tuple(mu), tuple(exps), w))
-            return
-        for col, (xdeg, atoms) in rows[i].items():
-            if owed[col]:
-                owed[col] -= 1
-                mu.append(col)
-                exps.append(xdeg)
-                walk(i + 1, tuple(map(add, words, atoms)))
-                owed[col] += 1
-                mu.pop()
-                exps.pop()
-
-    walk(0, ((),) * (r - 1))
+    out = []
+    _walk([table[part] for part in lam], Counter(star(lam)), twist,
+          ((),) * (r - 1), [], [], out)
     return out
+
+
+def _walk(rows, owed, twist, words, mu, exps, out):
+    """One step of the _transfers walk: row len(mu) takes each column
+    still owed.  A module function rather than a recursive closure, which
+    would be a reference cycle holding out until the cycle collector ran."""
+    if len(mu) == len(rows):
+        w = _weight(words, twist)
+        if w:
+            out.append((tuple(mu), tuple(exps), w))
+        return
+    for col, (xdeg, atoms) in rows[len(mu)].items():
+        if owed[col]:
+            owed[col] -= 1
+            mu.append(col)
+            exps.append(xdeg)
+            _walk(rows, owed, twist, tuple(map(add, words, atoms)), mu, exps,
+                  out)
+            owed[col] += 1
+            mu.pop()
+            exps.pop()
 
 
 def _raw_sums(lam, r, memo):

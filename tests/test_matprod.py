@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -83,6 +84,22 @@ def test_shape_rule_matches_family_balance(parts, above):
     # words with the twist atom appended
     got = [(mu, exps, w.reduce()) for mu, exps, w in _transfers(lam, r)]
     assert got == [(mu, exps, w.reduce()) for mu, exps, w in kept if w]
+
+
+def test_transfers_leave_no_cyclic_garbage():
+    # the walk's working lists and its output are freed by reference
+    # counting alone, not kept until the cycle collector happens to run
+    lam = (2, 1, 3, 3, 2, 0, 0, 1)
+    _transfers(lam, 3)  # fills the trace and level caches
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert _transfers(lam, 3)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_level_1_is_x_to_the_mu():
