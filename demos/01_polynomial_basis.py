@@ -7,7 +7,10 @@ product of exact traces, and a single normalization factor makes the
 result monic on x^lambda.
 """
 
-from macprod import compute_f, expand_configurations, omega_norm, raw_trace_sum
+from fractions import Fraction
+
+from macprod import (compute_f, expand_configurations, omega_norm,
+                     raw_trace_sum, specialize)
 
 lam = (0, 0, 1, 1, 2, 2)
 
@@ -24,7 +27,11 @@ print(f"\nnormalization Omega = {omega_norm(lam)}")
 
 raw = raw_trace_sum(lam)
 f = compute_f(lam)
-assert raw == f.scale(omega_norm(lam))
+# raw = Omega f, coefficient by coefficient, at q = 1/3, t = 1/5
+at = dict(q=Fraction(1, 3), t=Fraction(1, 5))
+omega = specialize(omega_norm(lam), **at).as_fraction()
+assert {e: c.as_fraction() for e, c in raw.specialize(**at).terms.items()} \
+    == {e: omega * c.as_fraction() for e, c in f.specialize(**at).terms.items()}
 
 print(f"\nf_lambda = {f}")
 

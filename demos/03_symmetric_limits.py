@@ -26,5 +26,6 @@ assert P.specialize(q=0) == hl
 print(f"q = 0   ->  hall-littlewood: {hl}")
 
 # a numeric spot check away from the classical points
-v = P.specialize(q=Fraction(1, 3), t=Fraction(1, 5)).eval_ones().as_fraction()
+v = sum(c.as_fraction() for c in
+        P.specialize(q=Fraction(1, 3), t=Fraction(1, 5)).terms.values())
 print(f"\nP at x = 1, q = 1/3, t = 1/5: {v}")

@@ -20,7 +20,8 @@ th = Fraction(1, 2)
 
 weights = {}
 for mu in orbit(species):
-    weights[mu] = compute_f(mu).specialize(q=1, t=th).eval_ones().as_fraction()
+    weights[mu] = sum(c.as_fraction() for c in
+                      compute_f(mu).specialize(q=1, t=th).terms.values())
 total = sum(weights.values())
 
 print(f"species {species} on a ring, t = {th}\n")

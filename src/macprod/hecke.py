@@ -64,8 +64,9 @@ from .compositions import (antidominant, check_composition, dominant,
 from .errors import (BranchResolutionFailure, IndexOutOfRange, InternalError,
                      NotRaisable, SingularSystem)
 from .matprod import compute_f
-from .qtfield import (Factored, QTRat, _dict_mul, _divide_factor,
-                      binomial_factors, divide_out, factor_product, over_lcm)
+from .qtfield import (_ONE_D, Factored, _dict_divexact, _dict_mul,
+                      _divide_factor, binomial_factors, divide_out,
+                      factor_product, over_lcm)
 from .xpoly import XNum, XPoly, pack
 
 
@@ -112,10 +113,8 @@ def eigen_check(lam, f):
     c = f.coeff_of(lam)
     if len(lam) != f.n or not c:
         return False
-    if c.den != {(0, 0): 1}:
-        f = f.scale(QTRat(c.den))
     try:
-        N, _ = _integral(lam, f)
+        N, _ = _integral(lam, f, scale=c.den)
     except InternalError:
         return False
     return eigen_failure(lam, N) is None
@@ -172,15 +171,16 @@ def _hhl_factors(lam):
     return out
 
 
-def _integral(lam, *polys):
-    """(P_1, .., P_k, factors) for XPolys E_1, .., E_k whose denominators
-    divide D_lam: P_j = D E_j as an XNum, all over one D, given as a
-    sorted multiset of cyclotomic factors ((d, a, b), m) with
-    D = prod Phi_d(q^a t^b)^m exactly.
+def _integral(lam, *polys, scale=None):
+    """(P_1, .., P_k, factors) for XPolys E_1, .., E_k whose denominators,
+    times the polynomial dict scale = s if given, divide D_lam: P_j =
+    D s E_j as an XNum, all over one D, given as a sorted multiset of
+    cyclotomic factors ((d, a, b), m) with D = prod Phi_d(q^a t^b)^m.
 
     Each distinct coefficient denominator is trial-divided once by the
-    factors of D_lam, and what is left must be a unit monomial; D is the
-    lcm of the multisets found, so the P_j take no gcd."""
+    factors of D_lam, and what is left must divide the numerator (times s)
+    exactly, else InternalError.  D is the lcm of the multisets found, so
+    the P_j take no gcd."""
     hhl = _hhl_factors(lam)
     split = {}
     coeffs = []
@@ -192,17 +192,32 @@ def _integral(lam, *polys):
                 den, k = divide_out(den, f, m)
                 if k:
                     have.append((f, k))
-            if len(den) != 1 or abs(next(iter(den.values()))) != 1:
-                raise InternalError(f"a coefficient denominator does not "
-                                    f"divide D_{lam}")
             split[key] = den, tuple(sorted(have))
-        unit, have = split[key]
-        ((qe, te), s), = unit.items()
-        coeffs.append(Factored({(a - qe, b - te): s * v
-                                for (a, b), v in c.num.items()}, have))
+        rest, have = split[key]
+        num = _exact_quotient(
+            c.num if scale is None else _dict_mul(c.num, scale), rest)
+        if num is None:
+            raise InternalError(f"a coefficient denominator does not "
+                                f"divide D_{lam}")
+        coeffs.append(Factored(num, have))
     factors, nums = over_lcm(coeffs)
     nums = iter(nums)
     return (*(XNum(E.n, dict(zip(E.terms, nums))) for E in polys), factors)
+
+
+def _exact_quotient(num, den):
+    """num / den for polynomial dicts when it is a Laurent polynomial, else
+    None."""
+    if den == _ONE_D:
+        return dict(num)
+    (nq, nt), (dq, dt) = (map(min, zip(*p)) for p in (num, den))
+    try:
+        quot = _dict_divexact(
+            {(a - nq, b - nt): v for (a, b), v in num.items()},
+            {(a - dq, b - dt): v for (a, b), v in den.items()})
+    except ArithmeticError:
+        return None
+    return {(a + nq - dq, b + nt - dt): v for (a, b), v in quot.items()}
 
 
 def _swap(lam, i):
@@ -322,13 +337,19 @@ def triangular_expand(lam):
     dominance order is exact because every f_mu is monic at x^mu with
     support only at dominated exponents."""
     lam = check_composition(lam)
-    resid = compute_E(lam)
+    members = sorted(orbit(lam), key=_psums, reverse=True)
+    N, den = _integral(lam, compute_E(lam))
+    *fs, fden = _integral(antidominant(lam), *map(compute_f, members))
+    resid = {e: Factored(c, den) for e, c in N.terms.items()}
     coeffs = {}
-    for mu in sorted(orbit(lam), key=_psums, reverse=True):
-        c = resid.coeff_of(mu)
+    for mu, f in zip(members, fs):
+        c = resid.get(mu)
         if c:
-            coeffs[mu] = c
-            resid = resid - compute_f(mu).scale(c)
-    if resid:
+            coeffs[mu] = c.reduce()
+            w = c * Factored({(0, 0): -1}, fden)
+            for e, v in f.terms.items():
+                resid[e] = Factored.sum(
+                    (resid.get(e, Factored({})), w * Factored(v))).cancel()
+    if any(resid.values()):
         raise SingularSystem(f"residual after peeling the orbit of {lam}")
     return coeffs

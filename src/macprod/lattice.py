@@ -33,10 +33,11 @@ from typing import NamedTuple
 
 from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
 from .oscillator import LOWER, RAISE, kpow, walk
-from .qtfield import _ONE_D, QTRat, _dict_iadd, _dict_mul, _dict_neg
+from .qtfield import _ONE_D, _dict_iadd, _dict_mul, _dict_neg
 
-_T = QTRat.monomial(te=1)
-_T_MINUS_1 = _T - 1
+_T = {(0, 1): 1}
+_MINUS_T = {(0, 1): -1}
+_T_MINUS_1 = {(0, 1): 1, (0, 0): -1}
 
 
 class OpTerm(NamedTuple):
@@ -47,14 +48,12 @@ class OpTerm(NamedTuple):
 
 
 def _laurent(c):
-    """An int, or a QTRat whose denominator is a single monic monomial,
-    as a Laurent dict."""
+    """An int or a Laurent dict as a new Laurent dict of its nonzero
+    terms."""
     if isinstance(c, int) and not isinstance(c, bool):
         return {(0, 0): c} if c else {}
-    if isinstance(c, QTRat) and len(c.den) == 1:
-        ((dq, dt), dv), = c.den.items()
-        if dv == 1:
-            return {(a - dq, b - dt): v for (a, b), v in c.num.items()}
+    if isinstance(c, dict):
+        return {k: v for k, v in c.items() if v}
     raise InternalError(f"lattice scalar {c!r} is not a Laurent polynomial")
 
 
@@ -182,11 +181,11 @@ def build_R(r):
     """Cleared R-matrix: (tx-y) R~(x, y) on the (r+1)^2 basis of pairs."""
     w = r + 1
     m = OpMatrix(w * w, w * w)
-    diag = (term(_T, xdeg=1), term(-1, ydeg=1))          # t x - y
-    b_plus = (term(_T, xdeg=1), term(-_T, ydeg=1))       # t (x - y)
-    b_minus = (term(xdeg=1), term(-1, ydeg=1))           # x - y
-    c_plus = (term(_T_MINUS_1, ydeg=1),)                 # y (t - 1)
-    c_minus = (term(_T_MINUS_1, xdeg=1),)                # x (t - 1)
+    diag = (term(_T, xdeg=1), term(-1, ydeg=1))              # t x - y
+    b_plus = (term(_T, xdeg=1), term(_MINUS_T, ydeg=1))      # t (x - y)
+    b_minus = (term(xdeg=1), term(-1, ydeg=1))               # x - y
+    c_plus = (term(_T_MINUS_1, ydeg=1),)                     # y (t - 1)
+    c_minus = (term(_T_MINUS_1, xdeg=1),)                    # x (t - 1)
     for i in range(w):
         m.set(_pair(i, i, w), _pair(i, i, w), diag)
         for j in range(i + 1, w):
@@ -421,7 +420,7 @@ def intertwining_sides(kind, r):
                                     for (qe, te), v in t.scalar.items()},
                                    t.factors) for t in e)
             lhs.set(i, 0, entry_mul(S, shifted))
-            rhs.set(i, 0, entry_scale(entry_mul(e, S), QTRat.monomial(qe=i)))
+            rhs.set(i, 0, entry_scale(entry_mul(e, S), {(i, 0): 1}))
         return lhs, rhs
     raise ValueError(f"unknown intertwining kind {kind!r}")
 

@@ -396,22 +396,28 @@ def compute_P(lam, n=None):
     return P
 
 
+def _shape_sums(r, n):
+    """{shape: {exps: Factored}}: the configuration weights of all
+    length-n compositions in components 0..r, summed per sorted shape and
+    exponent over their lcm and cancelled once."""
+    groups = {}
+    for mu in product(range(r + 1), repeat=n):
+        by_exps = groups.setdefault(tuple(sorted(mu, reverse=True)), {})
+        for cfg in expand_configurations(mu, r):
+            by_exps.setdefault(cfg.exps, []).append(cfg.factored)
+    return {key: _sum_groups(g) for key, g in groups.items()}
+
+
 def generating_trace(r, n):
     """Raw trace sums of all length-n words in components 0..r, grouped by
     sorted shape."""
-    out = {}
-    for mu in product(range(r + 1), repeat=n):
-        key = tuple(sorted(mu, reverse=True))
-        cur = out.get(key)
-        v = raw_trace_sum(mu, r)
-        out[key] = v if cur is None else cur + v
-    return out
+    return {key: _reduced_poly(n, sums)
+            for key, sums in _shape_sums(r, n).items()}
 
 
 def verify_generating(r, n):
-    """Grouped raw traces must reproduce Omega_lam P_lam shape by shape."""
-    for key, val in generating_trace(r, n).items():
-        want = compute_P(tuple(p for p in key if p), n).scale(omega_norm(key, r))
-        if val != want:
-            return False
-    return True
+    """Grouped raw traces times Omega must reproduce P_lam shape by
+    shape."""
+    return all(_reduced_poly(n, sums, _omega(key, r, 1)) ==
+               compute_P(tuple(p for p in key if p), n)
+               for key, sums in _shape_sums(r, n).items())

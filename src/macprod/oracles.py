@@ -3,8 +3,10 @@
 Nothing here goes through the lattice/trace construction: E comes from
 the Murphy eigen-equations, solved by triangular back-substitution over
 factored denominators, Schur from tableau enumeration, Hall-Littlewood
-from the symmetrization formula, exclusion process weights from a
-generator null space, traces from partial sums.  The eigen solve shares
+from the symmetrization formula over Z[t] with one final division by
+v_lam(t), exclusion process weights from a generator null space, traces
+from partial sums.  None of them does QTRat arithmetic, which the package
+does not have.  The eigen solve shares
 only the closed forms xpoly._image with the raising route: it applies
 the Murphy elements to single monomials by its own dict action, not by
 the packed kernel, which a prototype found 2-3 times slower there.  It takes no
@@ -19,20 +21,17 @@ each image term by term, and every pivot is a monomial times a binomial
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, combinations, permutations
 
 from .compositions import (check_composition, check_partition, dominance_leq,
                            dominant, eigen_exponents, orbit)
 from .errors import (InternalError, InternalNonDivisibility, NoSolution,
                      NonUnique, ReducibleChain)
 from .oscillator import parse_word
-from .qtfield import (_ONE_D, Factored, QTRat, _dict_iadd, _dict_mul, one,
-                      over_lcm)
+from .qtfield import _ONE_D, Factored, QTRat, _dict_iadd, _dict_mul, over_lcm
 from .xpoly import XNum, XPoly, _image
-
-_ONE = one()
-_T = QTRat.monomial(te=1)
 
 
 def _rref(rows):
@@ -252,22 +251,25 @@ def schur(lam, n):
 
 
 def _div_linear(f, a, b):
-    """Exact division of f by (x_a - x_b), 1-based indices.  With f_k the
-    coefficient of x_a^k in f, the quotient's coefficient of x_a^(k-1) is
-    G_k = f_k + x_b G_(k+1), from the top degree down, and the remainder
-    f_0 + x_b G_1 must vanish."""
+    """Exact division of f, a dict {exps: Laurent dict}, by (x_a - x_b),
+    1-based indices.  With f_k the coefficient of x_a^k in f, the
+    quotient's coefficient of x_a^(k-1) is G_k = f_k + x_b G_(k+1), from
+    the top degree down, and the remainder f_0 + x_b G_1 must vanish."""
     buckets = {}
-    for e, c in f.terms.items():
+    for e, c in f.items():
         buckets.setdefault(e[a - 1], {})[e[:a - 1] + (0,) + e[a:]] = c
     out, g = {}, {}
     for k in range(max(buckets, default=0), -1, -1):
-        up = {e[:b - 1] + (e[b - 1] + 1,) + e[b:]: c for e, c in g.items()}
-        g = (XPoly._raw(f.n, buckets.get(k, {})) + XPoly._raw(f.n, up)).terms
+        nxt = {e: dict(c) for e, c in buckets.get(k, {}).items()}
+        for e, c in g.items():
+            _dict_iadd(nxt.setdefault(e[:b - 1] + (e[b - 1] + 1,) + e[b:], {}),
+                       c)
+        g = {e: c for e, c in nxt.items() if c}
         if k:
             out.update((e[:a - 1] + (k - 1,) + e[a:], c) for e, c in g.items())
     if g:
         raise InternalNonDivisibility(f"(x{a} - x{b}) does not divide")
-    return XPoly._raw(f.n, out)
+    return out
 
 
 def _perm_sign(w):
@@ -275,38 +277,39 @@ def _perm_sign(w):
                        for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def _t_factorial(m):
-    v = _ONE
-    for k in range(1, m + 1):
-        v = v * (_ONE - _T ** k) / (_ONE - _T)
-    return v
-
-
 def hall_littlewood(lam, n):
     """P_lam(x; t) by the symmetrization formula: antisymmetrize
     x^lam prod_{i<j} (x_i - t x_j), divide by the Vandermonde, normalise
-    by the t-factorials of the part multiplicities (zeros included)."""
+    by v_lam(t), the product of the t-factorials [m]_t! of the part
+    multiplicities (zeros included).  Coefficients stay in Z[t] until the
+    one division by v_lam(t), through Factored."""
     lam = check_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} needs more than {n} variables")
     padded = tuple(lam) + (0,) * (n - len(lam))
-    base = XPoly.monomial(padded, _ONE)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ei = tuple(1 if k == i - 1 else 0 for k in range(n))
-            ej = tuple(1 if k == j - 1 else 0 for k in range(n))
-            base = base * XPoly._raw(n, {ei: _ONE, ej: -_T})
-    num = XPoly.zero(n)
-    for w in permutations(range(1, n + 1)):
-        img = base.apply_perm(w)
-        num = num + (img if _perm_sign(w) == 1 else -img)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            num = _div_linear(num, i, j)
-    v = _ONE
-    for part in set(padded):
-        v = v * _t_factorial(padded.count(part))
-    P = num.scale(v.inverse())
+    base = {padded: _ONE_D}
+    for i, j in combinations(range(n), 2):
+        out = {}
+        for e, c in base.items():
+            for k, m in ((i, _ONE_D), (j, {(0, 1): -1})):
+                _dict_iadd(out.setdefault(e[:k] + (e[k] + 1,) + e[k + 1:], {}),
+                           _dict_mul(c, m))
+        base = out
+    num = {}
+    for w in permutations(range(n)):
+        s = _perm_sign(w)
+        for e, c in base.items():
+            _dict_iadd(num.setdefault(tuple(e[k] for k in w), {}),
+                       {k: s * v for k, v in c.items()})
+    for i, j in combinations(range(1, n + 1), 2):
+        num = _div_linear(num, i, j)
+    # [k]_t = (1 - t^k)/(1 - t) is the product of Phi_d(t), 1 < d | k
+    v_lam = Counter((d, 0, 1) for part in set(padded)
+                    for k in range(2, padded.count(part) + 1)
+                    for d in range(2, k + 1) if k % d == 0)
+    v_lam = tuple(sorted(v_lam.items()))
+    P = XPoly.from_factored(n, ((e, Factored(c, v_lam))
+                                for e, c in num.items()))
     if not P.coeff_of(padded).is_one():
         raise InternalError(f"symmetrization of {lam} lost monicity")
     return P

@@ -19,7 +19,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import DivergentTrace, NotDyck
-from .qtfield import Factored, QTRat, _dict_mul, zero
+from .qtfield import _ONE_D, Factored, QTRat, _dict_mul
 
 LOWER = ("a",)
 RAISE = ("A",)
@@ -198,19 +198,21 @@ def dyck_map(word):
 def psi_eval(mvec, x):
     """Sum_{n>=0} x^n prod_i (1 - t^(n+i))^(m_i) in closed form.
 
-    x is a QTRat; the sum collapses to sum_k c_k / (1 - x t^k).  Raises
-    DivergentTrace if some needed denominator 1 - x t^k is zero.
-    """
+    x is a QTRat monomial q^a t^b with a, b >= 0 (ValueError otherwise);
+    the sum collapses to sum_k c_k / (1 - q^a t^(b+k)), one Factored.sum
+    reduced once.  Raises DivergentTrace if some needed denominator
+    1 - x t^k is zero."""
+    if not (isinstance(x, QTRat) and x.den == _ONE_D and len(x.num) == 1
+            and 1 in x.num.values()):
+        raise ValueError(f"psi_eval needs x = q^a t^b with a, b >= 0, "
+                         f"not {x!r}")
+    (a, b), = x.num
     heights = [i for i, mi in enumerate(mvec, start=1) for _ in range(mi)]
-    total = zero()
+    terms = []
     for k, c in enumerate(_expand_lowers(heights)):
-        if not c:
-            continue
-        num = zero()
-        for te, v in c.items():
-            num = num + QTRat.monomial(te=te, c=v)
-        den = 1 - x * QTRat.monomial(te=k)
-        if den.is_zero():
-            raise DivergentTrace(f"pole at ratio x t^{k} = 1")
-        total = total + num / den
-    return total
+        if c:
+            if not (a or b + k):
+                raise DivergentTrace(f"pole at ratio x t^{k} = 1")
+            terms.append(Factored({(0, te): v for te, v in c.items()}) *
+                         Factored.binomial(a, b + k, -1))
+    return Factored.sum(terms).reduce()

@@ -17,17 +17,16 @@ every denominator is univariate or a product of binomials 1 - q^A t^B,
 whose cyclotomic factors Phi_d(q^a t^b) _split finds by trial division.
 _dict_gcd cancels by a univariate gcd or by trial division against those
 factors, and raises NonCyclotomicDenominator on any other denominator.
-A product or an inverse forms its denominator without a gcd, and checks
-it by _den_product or _gated instead.
-_canonical makes the reduced pair from a numerator and a denominator;
-QTRat(num, den), QTRat.monomial and Factored.reduce all end in it.  QTRat
-arithmetic (oracles, specialization) keeps its values reduced with gcds
-of the operands' parts.  The configuration sums behind f_lam and P_lam,
-the traces, the eigen oracle and the Hecke layer use Factored values (the
-last section), whose factors are known in advance: sums run over the lcm
-of the factor multisets, and one trial division per listed factor
-reduces them, with no gcd.  The lattice exchange relations never leave
-Z[q^+-1, t^+-1] and use the Laurent dicts alone (_dict_mul, _dict_iadd).
+
+A QTRat is a value: it compares, hashes, prints, specialises and
+serialises, but does no arithmetic.  _canonical makes the reduced pair;
+QTRat(num, den), from_obj and specialize reduce by one gcd, and
+QTRat.monomial and Factored.reduce need none.  Every coefficient the
+package computes is a Factored value (the last section), whose factors
+are known in advance: sums run over the lcm of the factor multisets, and
+one trial division per listed factor reduces them, with no gcd.  The
+lattice exchange relations never leave Z[q^+-1, t^+-1] and use the
+Laurent dicts alone (_dict_mul, _dict_iadd).
 """
 
 from __future__ import annotations
@@ -160,7 +159,9 @@ def _dict_gcd(a: dict, b: dict) -> dict:
     b = {(i - bmq, j - bmt): v // cb for (i, j), v in b.items()}
     g = _gcd_by(b, a)
     if g is None:
-        _outside(b)
+        raise NonCyclotomicDenominator(
+            f"denominator {_poly_format(b)} is neither univariate nor a "
+            f"product of cyclotomic factors Phi_d(q^a t^b)")
     out = {(gq + i, gt + j): c * v for (i, j), v in g.items()}
     return _dict_neg(out) if out[max(out)] < 0 else out
 
@@ -188,39 +189,6 @@ def _gcd_by(u, v):
         v, k = divide_out(v, f, m)
         found.append((f, k))
     return factor_product(found)
-
-
-def _variables(p):
-    """(whether q, whether t occurs in p) up to monomial content."""
-    q0, t0 = next(iter(p))
-    return any(k[0] != q0 for k in p), any(k[1] != t0 for k in p)
-
-
-def _gated(p):
-    """The polynomial p, or NonCyclotomicDenominator when it lies outside
-    the field: it is not univariate up to a monomial, nor +-c times a
-    product of factors Phi_d(q^a t^b) (_split)."""
-    if all(_variables(p)):
-        q0, t0 = min(k[0] for k in p), min(k[1] for k in p)
-        if _split({(i - q0, j - t0): v for (i, j), v in p.items()}) is None:
-            _outside(p)
-    return p
-
-
-def _outside(p):
-    raise NonCyclotomicDenominator(
-        f"denominator {_poly_format(p)} is neither univariate nor a "
-        f"product of cyclotomic factors Phi_d(q^a t^b)")
-
-
-def _den_product(b, d):
-    """b d for denominators b and d in the field.  Factors of one shape
-    (in q alone, in t alone, in both) or a constant factor keep it in the
-    field, since a bivariate denominator there is a product of factors
-    Phi_d(q^a t^b); a product of two shapes goes through _gated."""
-    vb, vd = _variables(b), _variables(d)
-    bd = _dict_mul(b, d)
-    return _gated(bd) if vb != vd and any(vb) and any(vd) else bd
 
 
 def _columns(a, axis):
@@ -347,9 +315,6 @@ class QTRat:
         return cls._raw(*_canonical({(qe, te): c} if c else {}, _ONE_D,
                                     coprime=True))
 
-    def is_zero(self):
-        return not self.num
-
     def is_one(self):
         return self.num == _ONE_D and self.den == _ONE_D
 
@@ -365,107 +330,6 @@ class QTRat:
     def __hash__(self):
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QTRat(other)
-        elif not isinstance(other, QTRat):
-            return NotImplemented
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        b, d = self.den, other.den
-        if b == d:
-            e = _dict_iadd(dict(self.num), other.num)
-            if not e:
-                return _ZERO
-            g = _dict_gcd(e, b)
-            if g == _ONE_D:
-                return QTRat._raw(e, b)
-            return QTRat._raw(_dict_divexact(e, g), _dict_divexact(b, g))
-        g = _dict_gcd(b, d)
-        if g == _ONE_D:
-            e = _dict_iadd(_dict_mul(self.num, d), _dict_mul(other.num, b))
-            if not e:
-                return _ZERO
-            return QTRat._raw(e, _den_product(b, d))
-        b0 = _dict_divexact(b, g)
-        d0 = _dict_divexact(d, g)
-        e = _dict_iadd(_dict_mul(self.num, d0), _dict_mul(other.num, b0))
-        if not e:
-            return _ZERO
-        h = _dict_gcd(e, g)
-        if h == _ONE_D:
-            return QTRat._raw(e, _den_product(b0, d))
-        return QTRat._raw(_dict_divexact(e, h),
-                          _den_product(b0, _dict_divexact(d, h)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QTRat._raw(_dict_neg(self.num), self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QTRat(other)
-        elif not isinstance(other, QTRat):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = QTRat(other)
-        elif not isinstance(other, QTRat):
-            return NotImplemented
-        if not self.num or not other.num:
-            return _ZERO
-        a, b = self.num, self.den
-        c, d = other.num, other.den
-        g1 = _dict_gcd(a, d)
-        g2 = _dict_gcd(c, b)
-        if g1 != _ONE_D:
-            a, d = _dict_divexact(a, g1), _dict_divexact(d, g1)
-        if g2 != _ONE_D:
-            c, b = _dict_divexact(c, g2), _dict_divexact(b, g2)
-        return QTRat._raw(_dict_mul(a, c), _den_product(b, d))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise DivisionByZero("inverse of zero")
-        num, den = self.den, _gated(self.num)
-        if den[max(den)] < 0:
-            num, den = _dict_neg(num), _dict_neg(den)
-        return QTRat._raw(num, den)
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = QTRat(other)
-        elif not isinstance(other, QTRat):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n):
-        if n == 0:
-            return _ONE
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def as_fraction(self):
         """Value as a Fraction; requires a constant (no q, t left)."""
         if any(k != (0, 0) for k in (*self.num, *self.den)):
@@ -478,13 +342,10 @@ class QTRat:
 
     @classmethod
     def from_obj(cls, obj):
-        """The canonical value of a {"num": triples, "den": triples} object:
-        zero terms are dropped and the pair is reduced."""
-        num = {(int(qe), int(te)): int(c) for qe, te, c in obj["num"]}
-        den = {(int(qe), int(te)): int(c) for qe, te, c in obj["den"]}
-        if not any(den.values()):
-            raise DivisionByZero("zero denominator in serialized value")
-        return cls(num, den)
+        """The canonical value of a {"num": triples, "den": triples} object
+        of JSON integers: zero terms are dropped and the pair is reduced.
+        Any other entry raises ValueError naming it."""
+        return cls(_json_terms(obj, "num"), _json_terms(obj, "den"))
 
     def __str__(self):
         ns = _poly_format(self.num)
@@ -506,16 +367,26 @@ class QTRat:
         return r"\frac{%s}{%s}" % (ns, _poly_format(self.den, latex=True))
 
 
+def _json_int(v, what):
+    """v when it is a JSON integer (an int, not a bool), else ValueError
+    naming what."""
+    if type(v) is not int:
+        raise ValueError(f"{what} is {v!r}, not an integer")
+    return v
+
+
+def _json_terms(obj, side):
+    """The [q_exp, t_exp, coefficient] triples of obj[side] as a dict."""
+    out = {}
+    for k, entry in enumerate(obj[side]):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ValueError(f"{side}[{k}] is {entry!r}, not a triple")
+        qe, te, c = (_json_int(v, f"{side}[{k}]") for v in entry)
+        out[qe, te] = c
+    return out
+
+
 _ZERO = QTRat(0)
-_ONE = QTRat(1)
-
-
-def zero():
-    return _ZERO
-
-
-def one():
-    return _ONE
 
 
 def specialize(r, q=None, t=None):

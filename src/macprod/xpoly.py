@@ -34,23 +34,31 @@ from itertools import chain, compress, islice, product
 from math import inf
 
 from .errors import IndexOutOfRange, InternalError
-from .qtfield import _ONE_D, QTRat, specialize as _spec_rat, zero
+from .qtfield import _ONE_D, _ZERO, QTRat, _json_int, specialize as _spec_rat
 
 _ONE = QTRat(1)
 
 
 class XPoly:
-    """Sparse polynomial: dict mapping exponent tuples to nonzero QTRat."""
+    """Sparse polynomial: dict mapping exponent tuples to nonzero QTRat.
+    A value, like its coefficients: it compares, prints, specialises and
+    serialises, and the Hecke operators act on its numerator (XNum)."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
+        """The polynomial with coefficient c at x^e for each pair (e, c) of
+        terms, zeros dropped; e must be a tuple of n non-negative ints
+        (IndexOutOfRange)."""
         self.n = n
         self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = c
+        for e, c in (terms or {}).items():
+            if not (isinstance(e, tuple) and len(e) == n and
+                    all(type(v) is int and v >= 0 for v in e)):
+                raise IndexOutOfRange(f"exponent {e!r} is not {n} "
+                                      f"non-negative ints")
+            if c:
+                self.terms[e] = c
 
     @classmethod
     def _raw(cls, n, terms):
@@ -77,28 +85,10 @@ class XPoly:
         return cls._raw(n, {})
 
     @classmethod
-    def one(cls, n):
-        return cls._raw(n, {(0,) * n: _ONE})
-
-    @classmethod
     def monomial(cls, exps, coef=None):
         exps = tuple(exps)
-        if any(e < 0 for e in exps):
-            raise IndexOutOfRange(f"negative exponent in {exps}")
         c = _ONE if coef is None else (QTRat(coef) if isinstance(coef, int) else coef)
-        return cls._raw(len(exps), {exps: c} if c else {})
-
-    @classmethod
-    def variable(cls, i, n):
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"x_{i} out of range for n={n}")
-        e = [0] * n
-        e[i - 1] = 1
-        return cls._raw(n, {tuple(e): _ONE})
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise IndexOutOfRange(f"mixed variable counts {self.n} and {other.n}")
+        return cls(len(exps), {exps: c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -107,55 +97,8 @@ class XPoly:
         return (isinstance(other, XPoly) and self.n == other.n
                 and self.terms == other.terms)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nv = out.get(e)
-            nv = c if nv is None else nv + c
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
-        return XPoly._raw(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return XPoly._raw(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (QTRat, int)):
-            return self.scale(other)
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ea, eb))
-                v = ca * cb
-                nv = out.get(k)
-                nv = v if nv is None else nv + v
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return XPoly._raw(self.n, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = QTRat(c)
-        if not c:
-            return XPoly._raw(self.n, {})
-        return XPoly._raw(self.n, {e: v * c for e, v in self.terms.items()})
-
     def coeff_of(self, exps):
-        return self.terms.get(tuple(exps), zero())
+        return self.terms.get(tuple(exps), _ZERO)
 
     def is_homogeneous(self, d=None):
         degs = {sum(e) for e in self.terms}
@@ -178,18 +121,6 @@ class XPoly:
                 out[tuple(f)] = c
         return XPoly._raw(self.n, out)
 
-    def apply_perm(self, w):
-        """Relabel variables by the 1-based permutation: x_i -> x_{w(i)}."""
-        if sorted(w) != list(range(1, self.n + 1)):
-            raise IndexOutOfRange(f"{w} is not a permutation of 1..{self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            f = [0] * self.n
-            for i, ei in enumerate(e):
-                f[w[i] - 1] = ei
-            out[tuple(f)] = c
-        return XPoly._raw(self.n, out)
-
     def is_symmetric(self):
         return all(self.apply_s(i) == self for i in range(1, self.n))
 
@@ -200,9 +131,6 @@ class XPoly:
             if v:
                 out[e] = v
         return XPoly._raw(self.n, out)
-
-    def eval_ones(self):
-        return sum(self.terms.values(), zero())
 
     def sorted_terms(self):
         """Terms in graded-lex descending order."""
@@ -216,12 +144,13 @@ class XPoly:
 
     @classmethod
     def from_obj(cls, obj):
-        n = int(obj["n"])
+        """The polynomial of a {"n": int, "terms": [{"exp", "coef"}]} object
+        of JSON integers; any other n or exponent entry raises ValueError
+        naming it."""
+        n = _json_int(obj["n"], "n")
         terms = {}
-        for entry in obj["terms"]:
-            e = tuple(int(v) for v in entry["exp"])
-            if len(e) != n:
-                raise IndexOutOfRange("exponent length != n")
+        for k, entry in enumerate(obj["terms"]):
+            e = tuple(_json_int(v, f"terms[{k}].exp") for v in entry["exp"])
             terms[e] = QTRat.from_obj(entry["coef"])
         return cls(n, terms)
 

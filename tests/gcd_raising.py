@@ -6,12 +6,11 @@ denominator (`helpers.numerator`), forms Q = (1-d) T~_i P + (1-t) P with
 the dict operators of `xnum_dict`, certifies it by the Murphy eigen check
 and divides by Q's coefficient at the target monomial with one gcd per
 coefficient (`helpers.value`).  It trusts no lead identity and no
-denominator bound, so it checks both.  Its gcds run in the reference
-field.
+denominator bound, so it checks both.  Its gcds are the PRS gcd of
+prs_gcd.
 """
 
 import xnum_dict
-from conftest import reference_field
 from helpers import numerator, value
 from macprod.compositions import raising_word, rho_of
 from macprod.errors import BranchResolutionFailure
@@ -19,7 +18,6 @@ from macprod.hecke import eigen_failure
 from macprod.matprod import compute_f
 
 
-@reference_field()
 def raise_E(lam, i, E):
     """E_{s_i lam} from the XPoly E_lam, for an ascent of lam at i."""
     target = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]

@@ -2,15 +2,15 @@
 
 from math import factorial
 
-from conftest import reference_field
-from macprod import hecke, qtfield
+from macprod import hecke
 from macprod.compositions import check_composition, w_plus_inv
 from macprod.errors import IndexOutOfRange
 from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
-from macprod.qtfield import (_ONE_D, QTRat, _dict_divexact, _dict_mul,
-                             factor_product, zero)
+from macprod.qtfield import _ONE_D, _dict_divexact, _dict_mul, factor_product
 from macprod.xpoly import XNum, XPoly, pack
+from prs_gcd import dict_gcd
+from ref_field import Rat
 
 
 def bracket(m, c=0):
@@ -19,7 +19,54 @@ def bracket(m, c=0):
         raise ValueError("bracket arguments must be nonnegative")
     num = {(0, 0): 1}
     num[(c, m)] = num.get((c, m), 0) - 1
-    return QTRat(num, {(0, 0): 1, (0, 1): -1})
+    return Rat(num, {(0, 0): 1, (0, 1): -1})
+
+
+#### polynomial arithmetic in the reference field
+
+def _poly(n, terms):
+    return XPoly._raw(n, {e: c for e, c in terms.items() if c})
+
+
+def add(f, g):
+    """f + g for XPolys."""
+    if f.n != g.n:
+        raise IndexOutOfRange(f"mixed variable counts {f.n} and {g.n}")
+    out = {e: Rat.of(c) for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        out[e] = out[e] + c if e in out else Rat.of(c)
+    return _poly(f.n, out)
+
+
+def scale(f, c):
+    """c f for an int or QTRat c."""
+    c = Rat.of(c)
+    return _poly(f.n, {e: c * v for e, v in f.terms.items()})
+
+
+def sub(f, g):
+    return add(f, scale(g, -1))
+
+
+def mul(f, g):
+    """f g for XPolys, as a sum of shifted scalings of f (add checks that
+    f and g have the same variables)."""
+    out = XPoly.zero(g.n)
+    for eb, cb in g.terms.items():
+        out = add(out, scale(XPoly._raw(f.n, {
+            tuple(x + y for x, y in zip(ea, eb)): c
+            for ea, c in f.terms.items()}), cb))
+    return out
+
+
+def variable(i, n):
+    """x_i among x_1..x_n."""
+    return XPoly.monomial(tuple(int(k == i - 1) for k in range(n)))
+
+
+def eval_ones(f):
+    """f at x = (1, .., 1)."""
+    return sum(f.terms.values(), Rat(0))
 
 
 def net_change(word):
@@ -75,37 +122,32 @@ def eval_at(f, xs):
     """The XPoly f at x_i = xs[i-1] (QTRat or int entries)."""
     if len(xs) != f.n:
         raise IndexOutOfRange("wrong number of values")
-    xs = [QTRat(v) if isinstance(v, int) else v for v in xs]
-    total = zero()
+    total = Rat(0)
     for e, c in f.terms.items():
-        v = c
         for ei, xi in zip(e, xs):
-            if ei:
-                v = v * xi ** ei
-        total = total + v
+            c = Rat.of(c) * Rat.of(xi) ** ei
+        total = total + c
     return total
 
 
-@reference_field()
 def numerator(f):
     """(D f, D) for any XPoly f: D f as an XNum and D, the lcm of its
-    coefficient denominators, as a Laurent dict; one gcd per distinct
-    denominator, in the reference field.  The package clears only by the
-    HHL denominator (hecke._integral); this works for any f."""
+    coefficient denominators, as a Laurent dict; one PRS gcd per distinct
+    denominator.  The package clears only by the HHL denominator
+    (hecke._integral); this works for any f."""
     D = _ONE_D
     for den in {frozenset(c.den.items()): c.den
                 for c in f.terms.values()}.values():
         if den != D:
-            D = _dict_mul(D, _dict_divexact(den, qtfield._dict_gcd(D, den)))
+            D = _dict_mul(D, _dict_divexact(den, dict_gcd(D, den)))
     return XNum(f.n, {e: _dict_mul(c.num, _dict_divexact(D, c.den))
                       for e, c in f.terms.items()}), D
 
 
-@reference_field()
 def value(N, D):
     """The XPoly N / D for an XNum N and a Laurent dict D, each
-    coefficient reduced by a gcd in the reference field."""
-    return XPoly._raw(N.n, {e: QTRat(c, D) for e, c in N.terms.items()})
+    coefficient reduced by the PRS gcd."""
+    return XPoly._raw(N.n, {e: Rat(c, D) for e, c in N.terms.items()})
 
 
 def packed(N, steps):

@@ -2,10 +2,9 @@
 
 The package cancels only by denominators it can split into cyclotomic
 factors Phi_d(q^a t^b), or univariate ones.  This is the gcd it took before,
-which works for any pair of polynomials; conftest.reference_field routes
-QTRat's cancellation through dict_gcd so that reference computations run
-on the whole field Q(q, t) and share no trial division with the code they
-check.
+which works for any pair of polynomials.  ref_field.Rat cancels by
+dict_gcd, so that reference computations run on the whole field Q(q, t)
+and share no trial division with the code they check.
 """
 
 from math import gcd as _igcd

@@ -3,7 +3,7 @@
 The test oracle for macprod.oscillator.walk and macprod.lattice, which
 evaluate operator words on Fock states with Laurent dicts over
 Z[q^+-1, t^+-1].  Everything here is plain Q(q, t) arithmetic, in the
-reference field:
+reference field ref_field.Rat:
 
     A|m> = |m+1> (A|M> = 0 at the cutoff M)
     a|m> = (1 - t^m)|m-1>
@@ -14,32 +14,31 @@ and the comparator evaluates both matrices separately on every state.
 
 from itertools import product
 
-from conftest import reference_field
 from macprod.errors import CutoffTooSmall
-from macprod.qtfield import QTRat, one, zero
+from macprod.qtfield import QTRat
+from ref_field import Rat
 
 
-@reference_field()
 def walk(word, m, cutoff=None):
     """Apply the word to |m>; return (m_out, QTRat factor), or
     (None, 0) when it leaves the truncated space."""
     h = m
-    factor = one()
+    factor = Rat(1)
     for atom in reversed(word):
         tag = atom[0]
         if tag == "A":
             if cutoff is not None and h >= cutoff:
-                return None, zero()
+                return None, Rat(0)
             h += 1
         elif tag == "a":
             if h == 0:
-                return None, zero()
-            factor = factor * (1 - QTRat.monomial(te=h))
+                return None, Rat(0)
+            factor = factor * (1 - Rat.monomial(te=h))
             h -= 1
         else:
             _, te, qe = atom
             if te * h or qe * h:
-                factor = factor * QTRat.monomial(qe=qe * h, te=te * h)
+                factor = factor * Rat.monomial(qe=qe * h, te=te * h)
     return h, factor
 
 
@@ -51,16 +50,15 @@ class FockMatrix:
     def __init__(self, size, rows=None):
         self.size = size
         self.rows = rows if rows is not None else \
-            [[zero()] * size for _ in range(size)]
+            [[Rat(0)] * size for _ in range(size)]
 
     @classmethod
     def identity(cls, size):
         m = cls(size)
         for i in range(size):
-            m.rows[i][i] = one()
+            m.rows[i][i] = Rat(1)
         return m
 
-    @reference_field()
     def __mul__(self, other):
         if isinstance(other, (QTRat, int)):
             return FockMatrix(self.size,
@@ -81,12 +79,10 @@ class FockMatrix:
 
     __rmul__ = __mul__
 
-    @reference_field()
     def __add__(self, other):
         return FockMatrix(self.size, [[a + b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.rows, other.rows)])
 
-    @reference_field()
     def __sub__(self, other):
         return FockMatrix(self.size, [[a - b for a, b in zip(r1, r2)]
                                       for r1, r2 in zip(self.rows, other.rows)])
@@ -99,7 +95,6 @@ class FockMatrix:
         return self.rows[i][j]
 
 
-@reference_field()
 def fock_matrix(word, cutoff):
     """Truncated matrix of a word (or single atom) on states 0..cutoff."""
     if cutoff < 0:
@@ -115,22 +110,12 @@ def fock_matrix(word, cutoff):
     return out
 
 
-@reference_field()
 def delta_t_operator(prefix, m):
     """Coefficientwise z^n -> (1 - t^n)^m z^(n+1) on a series prefix."""
-    out = [zero()]
+    out = [Rat(0)]
     for n, c in enumerate(prefix):
-        out.append(c * (1 - QTRat.monomial(te=n)) ** m)
+        out.append(c * (1 - Rat.monomial(te=n)) ** m)
     return out
-
-
-@reference_field()
-def qtrat(laurent):
-    """A Laurent dict {(q_exp, t_exp): int} as a QTRat."""
-    total = zero()
-    for (qe, te), v in laurent.items():
-        total = total + QTRat.monomial(qe=qe, te=te, c=v)
-    return total
 
 
 def laurent(value):
@@ -140,14 +125,13 @@ def laurent(value):
     return {(a - dq, b - dt): v for (a, b), v in value.num.items()}
 
 
-@reference_field()
 def eval_entry(entry, slot_index, state, cutoff):
     """Matrix elements of a formal lattice entry on |state>, as
     {out_state: {(xdeg, ydeg): QTRat}}."""
     out = {}
     for t in entry:
         occ = list(state)
-        fac = qtrat(t.scalar)
+        fac = Rat(t.scalar)
         dead = False
         for slot, atoms in t.factors:
             i = slot_index[slot]

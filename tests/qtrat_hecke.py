@@ -3,7 +3,7 @@
 The test oracle for macprod.xpoly and macprod.hecke, which run the same
 operators on denominator-cleared integral numerators.  Everything here is
 plain Q(q, t) arithmetic straight from the definitions, in the reference
-field:
+field ref_field.Rat:
 
     d_i f  = (f - s_i f)/(x_i - x_{i+1})    by synthetic division
     T~_i f = t f - (t x_i - x_{i+1}) d_i f
@@ -11,18 +11,14 @@ field:
     (w f)(x_1..x_n) = f(q x_n, x_1, .., x_{n-1})
 """
 
-from conftest import reference_field
+from helpers import mul, scale, sub
 from macprod.compositions import check_composition, eigen_exponents
-from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
-
-T = QTRat.monomial(te=1)
-ONE = one()
+from ref_field import Rat, t as T
 
 
-@reference_field()
 def divided_difference(f, i):
-    diff = f - f.apply_s(i)
+    diff = sub(f, f.apply_s(i))
     k = i - 1
     buckets = {}
     for e, c in diff.terms.items():
@@ -54,30 +50,26 @@ def divided_difference(f, i):
     return XPoly._raw(f.n, quot)
 
 
-@reference_field()
 def demazure_T(f, i):
     ei = [0] * f.n
     ei[i - 1] = 1
     ej = [0] * f.n
     ej[i] = 1
-    fac = XPoly._raw(f.n, {tuple(ei): T, tuple(ej): -ONE})
-    return f.scale(T) - fac * divided_difference(f, i)
+    fac = XPoly._raw(f.n, {tuple(ei): T, tuple(ej): Rat(-1)})
+    return sub(scale(f, T), mul(fac, divided_difference(f, i)))
 
 
-@reference_field()
 def demazure_T_inv(f, i):
-    return (demazure_T(f, i) - f.scale(T - ONE)).scale(T.inverse())
+    return scale(sub(demazure_T(f, i), scale(f, T - 1)), T.inverse())
 
 
-@reference_field()
 def shift_omega(f):
     out = {}
     for e, c in f.terms.items():
-        out[e[1:] + (e[0],)] = c * QTRat.monomial(qe=e[0])
+        out[e[1:] + (e[0],)] = c * Rat.monomial(qe=e[0])
     return XPoly._raw(f.n, out)
 
 
-@reference_field()
 def murphy_apply(i, f):
     g = f
     for j in range(i - 1, 0, -1):
@@ -88,10 +80,9 @@ def murphy_apply(i, f):
     return g
 
 
-@reference_field()
 def eigen_check(lam, f):
     lam = check_composition(lam)
     if len(lam) != f.n or not f:
         return False
-    return all(murphy_apply(i, f) == f.scale(QTRat.monomial(qe=qe, te=te))
+    return all(murphy_apply(i, f) == scale(f, Rat.monomial(qe=qe, te=te))
                for i, (qe, te) in enumerate(eigen_exponents(lam), start=1))

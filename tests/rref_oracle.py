@@ -2,23 +2,23 @@
 reference.
 
 E_lam is the unique monic solution of the Murphy eigen-equations, found by
-a dense QTRat row reduction over every (i, monomial) equation, with a gcd
-on every add, in the reference field (its pivots, such as q t^2 - q t - 1,
-leave the field the package cancels in).  It trusts no triangularity: the narrow support (sorted
-shapes dominated by lam+) is widened to the whole degree slice when the
-system is inconsistent there, and uniqueness is read off the pivots.
+a dense row reduction over every (i, monomial) equation, with a gcd on
+every add, in the reference field ref_field.Rat (its pivots, such as
+q t^2 - q t - 1, leave the field the package cancels in).  It trusts no
+triangularity: the narrow support (sorted shapes dominated by lam+) is
+widened to the whole degree slice when the system is inconsistent there,
+and uniqueness is read off the pivots.
 """
 
-from conftest import reference_field
 from helpers import murphy_apply
 from macprod.compositions import (check_composition, dominance_leq,
                                   dominant, eigen_exponents)
 from macprod.errors import NoSolution, NonUnique
 from macprod.oracles import _degree_slice, _rref
-from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
+from ref_field import Rat
 
-_ONE = one()
+_ONE = Rat(1)
 
 
 def _solve_unique(rows, ncols):
@@ -37,14 +37,13 @@ def _solve_unique(rows, ncols):
     return sol
 
 
-@reference_field()
 def eigen_solve_E(lam):
     """E_lam by row reduction of the eigen system on the narrow support,
     widened to the whole degree slice on inconsistency."""
     lam = check_composition(lam)
     n, d = len(lam), sum(lam)
     shape = dominant(lam)
-    spectrum = [QTRat.monomial(qe=qe, te=te)
+    spectrum = [Rat.monomial(qe=qe, te=te)
                 for qe, te in eigen_exponents(lam)]
     slice_all = _degree_slice(n, d)
     narrow = [e for e in slice_all

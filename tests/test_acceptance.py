@@ -10,18 +10,18 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
-from helpers import murphy_apply
+from helpers import add, eval_ones, mul, murphy_apply, scale
 from macprod import hecke, lattice, matprod, oracles
 from macprod.compositions import antidominant, dominant, eigen_exponents, orbit
 from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, psi_eval,
                                 trace_closed_form)
-from macprod.qtfield import QTRat, one, specialize
+from macprod.qtfield import QTRat, specialize
 from macprod.xpoly import XPoly
+from ref_field import Rat, q as Q, t as T
 
-_ONE = one()
-Q = QTRat.monomial(qe=1)
-T = QTRat.monomial(te=1)
+_ONE = Rat(1)
 
 
 def _report(k, ok, detail):
@@ -50,9 +50,10 @@ def test_criterion_01_closed_form_rank2_seed():
     c_mid = T * T * (_ONE - T) / (_ONE - Q * T ** 3)
     c_bot = T ** 4 * (_ONE - T) * (_ONE - T * T) \
         / ((_ONE - Q * T ** 3) * (_ONE - Q * T ** 4))
-    want = x3 * x4 * x5 * x5 * x6 * x6 \
-        + ((x1 + x2) * x3 * x4 * x5 * x6 * (x5 + x6)).scale(c_mid) \
-        + (x1 * x2 * x3 * x4 * x5 * x6).scale(c_bot)
+    want = reduce(add, (
+        reduce(mul, (x3, x4, x5, x5, x6, x6)),
+        scale(reduce(mul, (add(x1, x2), x3, x4, x5, x6, add(x5, x6))), c_mid),
+        scale(reduce(mul, (x1, x2, x3, x4, x5, x6)), c_bot)))
     dt = time.perf_counter() - t0
     _report(1, got == want and dt < 10.0,
             f"rank-2 seed polynomial exact in {dt:.2f}s")
@@ -85,7 +86,7 @@ def test_criterion_03_eigenvalue_suite():
     formula = exps[2] == (1, 1) and exps[3] == (1, -1)
     f = matprod.compute_f(delta)
     acting = all(
-        murphy_apply(i, f) == f.scale(QTRat.monomial(qe=qe, te=te))
+        murphy_apply(i, f) == scale(f, QTRat.monomial(qe=qe, te=te))
         for i, (qe, te) in enumerate(exps, start=1))
     ok = not bad and pinned and formula and acting
     _report(3, ok, f"{len(shapes)} anti-dominant eigenfunctions, "
@@ -172,7 +173,7 @@ def test_criterion_09_stationary_state():
     th = Fraction(1, 2)
     weights = {}
     for mu in orbit((2, 1, 0)):
-        v = matprod.compute_f(mu).specialize(q=1, t=th).eval_ones()
+        v = eval_ones(matprod.compute_f(mu).specialize(q=1, t=th))
         weights[mu] = v.as_fraction()
     total = sum(weights.values())
     matches = []

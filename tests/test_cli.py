@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import add
 from macprod import clear_caches, cli, hecke, matprod, oracles
 from macprod.cli import main
 from macprod.errors import InternalNonPolynomial
@@ -138,12 +139,12 @@ def test_verify_oracle_on_five_parts(capsys):
 def test_verify_oracle_failure_locates_the_monomial(capsys, monkeypatch):
     real = oracles.eigen_solve_E
     monkeypatch.setattr(oracles, "eigen_solve_E",
-                        lambda lam: real(lam) + XPoly.monomial((0, 1)))
+                        lambda lam: add(real(lam), XPoly.monomial((0, 1))))
     code, out, err = run(capsys, "verify", "oracle", "--lambda", "1,0")
     assert code == 1
     assert out == "verify oracle (1, 0): FAIL\n"
     want = hecke.compute_E((1, 0)).coeff_of((0, 1))
-    got = (real((1, 0)) + XPoly.monomial((0, 1))).coeff_of((0, 1))
+    got = add(real((1, 0)), XPoly.monomial((0, 1))).coeff_of((0, 1))
     assert err == (f"  first mismatch at x^(0, 1): oracle {got}, "
                    f"raising {want}\n")
 
@@ -166,8 +167,8 @@ def test_verify_eigen_failure_locates_the_murphy_index(capsys, monkeypatch):
 def test_verify_eigen_denominator_outside_hhl_exits_3(capsys, monkeypatch):
     # 1 - q^2 t does not divide D_(0,1) = 1 - q t^2; the check is a raise,
     # not an assert, so -O keeps it
-    E = XPoly.variable(2, 2) + \
-        XPoly.variable(1, 2).scale(QTRat(1, {(0, 0): 1, (2, 1): -1}))
+    E = XPoly(2, {(0, 1): QTRat(1),
+                  (1, 0): QTRat(1, {(0, 0): 1, (2, 1): -1})})
     monkeypatch.setattr(hecke, "compute_E", lambda lam: E)
     code, out, err = run(capsys, "verify", "eigen", "--lambda", "0,1")
     assert code == 3 and out == ""
@@ -176,8 +177,8 @@ def test_verify_eigen_denominator_outside_hhl_exits_3(capsys, monkeypatch):
     script = ("import sys; from macprod import cli, hecke; "
               "from macprod.qtfield import QTRat; "
               "from macprod.xpoly import XPoly; "
-              "E = XPoly.variable(2, 2) + XPoly.variable(1, 2).scale("
-              "QTRat(1, {(0, 0): 1, (2, 1): -1})); "
+              "E = XPoly(2, {(0, 1): QTRat(1), "
+              "(1, 0): QTRat(1, {(0, 0): 1, (2, 1): -1})}); "
               "hecke.compute_E = lambda lam: E; "
               "sys.exit(cli.main(['verify', 'eigen', '--lambda', '0,1']))")
     proc = subprocess.run([sys.executable, "-O", "-c", script],

@@ -13,7 +13,8 @@ import pytest
 
 import gcd_raising
 import qtrat_hecke as oracle
-from helpers import demazure_T, lower_term_move, murphy_apply
+from helpers import (add, demazure_T, lower_term_move, murphy_apply,
+                     numerator, scale, sub, variable)
 
 import macprod
 from macprod import clear_caches, hecke, qtfield
@@ -26,15 +27,13 @@ from macprod.hecke import (compute_E, eigen_check, raise_E,
                            triangular_expand, verify_qkz)
 from macprod.matprod import compute_f
 from macprod.oracles import eigen_solve_E
-from macprod.qtfield import QTRat, _dict_divexact, _dict_mul, one
+from macprod.qtfield import QTRat, _dict_divexact, _dict_iadd, _dict_mul
 from macprod.xpoly import XNum, XPack, XPoly
+from ref_field import Rat, q as Q, t as T
 
-Q = QTRat.monomial(qe=1)
-T = QTRat.monomial(te=1)
-ONE = one()
+ONE = Rat(1)
 
-E10 = XPoly.variable(1, 2) + \
-    XPoly.variable(2, 2).scale(Q * (ONE - T) / (ONE - Q * T))
+E10 = add(variable(1, 2), scale(variable(2, 2), Q * (ONE - T) / (ONE - Q * T)))
 
 
 # the compositions of the raising benchmark pool
@@ -53,18 +52,18 @@ def _random_poly(rng, n, nterms=4, deg=3):
         e = tuple(rng.randint(0, deg) for _ in range(n))
         c = QTRat.monomial(qe=rng.randint(0, 1), te=rng.randint(0, 2),
                            c=rng.randint(-3, 3))
-        f = f + XPoly.monomial(e, c)
+        f = add(f, XPoly.monomial(e, c))
     return f
 
 
 def test_murphy_hand_values():
-    x2 = XPoly.variable(2, 2)
-    assert murphy_apply(2, x2) == x2.scale(Q)
+    x2 = variable(2, 2)
+    assert murphy_apply(2, x2) == scale(x2, Q)
     assert murphy_apply(1, x2) == x2
     for n in (2, 3, 4):
-        c = XPoly.one(n)
+        c = XPoly.monomial((0,) * n)
         for i in range(1, n + 1):
-            assert murphy_apply(i, c) == c.scale(QTRat.monomial(te=n + 1 - 2 * i))
+            assert murphy_apply(i, c) == scale(c, T ** (n + 1 - 2 * i))
     with pytest.raises(IndexOutOfRange):
         murphy_apply(3, x2)
 
@@ -83,11 +82,11 @@ def test_baxterised_yang_baxter():
     # (T_i + c(u))(T_{i+1} + c(u+v))(T_i + c(v)) with c(w) = (1-t)/(1-d_w),
     # the spectral monomials treated formally: d_{u+v} = d_u d_v
     def bax(f, i, d):
-        return demazure_T(f, i) + f.scale((ONE - T) * (ONE - d).inverse())
+        return add(demazure_T(f, i), scale(f, (ONE - T) * (ONE - d).inverse()))
 
     rng = random.Random(11)
-    du = QTRat.monomial(qe=1, te=1)
-    dv = QTRat.monomial(qe=0, te=2)
+    du = Rat.monomial(qe=1, te=1)
+    dv = Rat.monomial(qe=0, te=2)
     for n, i in ((3, 1), (4, 2)):
         f = _random_poly(rng, n)
         lhs = bax(bax(bax(f, i, dv), i + 1, du * dv), i, du)
@@ -96,8 +95,8 @@ def test_baxterised_yang_baxter():
 
 
 def test_eigen_check_examples():
-    assert eigen_check((0, 1), XPoly.variable(2, 2))
-    assert not eigen_check((1, 0), XPoly.variable(1, 2))
+    assert eigen_check((0, 1), variable(2, 2))
+    assert not eigen_check((1, 0), variable(1, 2))
     delta = (0, 0, 1, 1, 2, 2)
     assert eigen_check(delta, compute_f(delta))
 
@@ -111,13 +110,25 @@ def test_eigen_check_clears_by_the_hhl_denominator(monkeypatch):
                         lambda i, N: words.append(i) or real(i, N))
     # a zero coefficient at x^lam, and a denominator 1 - q^5 t^7 outside
     # D_lam: False, without a Murphy word
-    assert not eigen_check(lam, E - XPoly.monomial(lam))
+    assert not eigen_check(lam, sub(E, XPoly.monomial(lam)))
     outside = QTRat(1, {(0, 0): 1, (5, 7): -1})
-    assert not eigen_check(lam, E + XPoly.monomial((0, 1, 2), outside))
+    assert not eigen_check(lam, add(E, XPoly.monomial((0, 1, 2), outside)))
     assert words == []
     # any nonzero scale, here (2 + q)/(1 - q^5 t^7)
-    assert eigen_check(lam, E.scale(QTRat({(0, 0): 2, (1, 0): 1}) * outside))
+    assert eigen_check(lam, scale(E, (2 + Q) * outside))
     assert words == [1, 2, 3]
+
+
+@pytest.mark.parametrize("lam", [(2, 0, 1), (1, 2, 0, 1), (2, 1, 1, 0)])
+def test_eigen_check_accepts_any_nonzero_scale(lam):
+    # 1/(2 + q) leaves a non-cyclotomic factor over the HHL part of each
+    # denominator, and 1/(1 - q t)^3 a cyclotomic factor beyond its
+    # multiplicity in D_lam; both divide the scaled numerators exactly
+    E = compute_E(lam)
+    for c in (1 / (2 + Q), (1 - Q * T) ** -3, Rat(1, 2), 3 * Q / T ** 2):
+        assert eigen_check(lam, scale(E, c))
+        assert not eigen_check(lam, add(scale(E, c), XPoly.monomial(
+            next(e for e in E.terms if e != lam), c)))
 
 
 def test_eigenvalues_delta_001122():
@@ -148,15 +159,15 @@ def test_qkz_clears_the_orbit_once(monkeypatch):
 
 @pytest.mark.parametrize("bad", orbit((2, 1, 0)))
 def test_qkz_names_a_member_that_gains_a_term(monkeypatch, bad):
-    monkeypatch.setattr(hecke, "compute_f", lambda lam: compute_f(lam) + (
-        XPoly.monomial((1, 1, 1)) if lam == bad else XPoly.zero(3)))
+    monkeypatch.setattr(hecke, "compute_f", lambda lam: add(compute_f(lam), (
+        XPoly.monomial((1, 1, 1)) if lam == bad else XPoly.zero(3))))
     assert bad in {mu for mu, _ in hecke.qkz_failures((2, 1, 0))}
 
 
 def test_raise_E_hand():
-    assert raise_E((0, 1), 1, XPoly.variable(2, 2)) == E10
+    assert raise_E((0, 1), 1, variable(2, 2)) == E10
     with pytest.raises(NotRaisable):
-        raise_E((1, 0), 1, XPoly.variable(1, 2))
+        raise_E((1, 0), 1, variable(1, 2))
     delta = (0, 0, 1, 1, 2, 2)
     up = raise_E(delta, 2, compute_f(delta))
     assert eigen_check((0, 1, 0, 1, 2, 2), up)
@@ -164,7 +175,7 @@ def test_raise_E_hand():
 
 
 def test_compute_E_base_and_one_step():
-    assert compute_E((0, 1)) == XPoly.variable(2, 2)
+    assert compute_E((0, 1)) == variable(2, 2)
     assert compute_E((1, 0)) == E10
     delta = (0, 0, 1, 1, 2, 2)
     assert compute_E(delta) == compute_f(delta)
@@ -207,16 +218,27 @@ def test_triangular_expand():
     acc = XPoly.zero(3)
     for mu, c in coeffs.items():
         assert dominance_leq(mu, lam)
-        acc = acc + compute_f(mu, 2).scale(c)
+        acc = add(acc, scale(compute_f(mu, 2), c))
     assert acc == compute_E(lam)
 
 
 def test_triangular_expand_rebuilds_E_4210():
+    # E = sum_mu c_mu f_mu as polynomials in q, t: both sides times C D,
+    # with C the lcm of the c_mu's denominators (numerator takes it by the
+    # PRS gcd) and D the HHL denominator of the anti-dominant member,
+    # which clears every f_mu; each term is then an exact product
     lam = (4, 2, 1, 0)
-    acc = XPoly.zero(4)
-    for mu, c in triangular_expand(lam).items():
-        acc = acc + compute_f(mu).scale(c)
-    assert acc == compute_E(lam)
+    cs, C = numerator(XPoly._raw(4, triangular_expand(lam)))
+    D = _hhl_denominator(antidominant(lam))
+    lhs = {}
+    for mu, m in cs.terms.items():
+        for e, v in compute_f(mu).terms.items():
+            _dict_iadd(lhs.setdefault(e, {}), _dict_mul(
+                m, _dict_mul(v.num, _dict_divexact(D, v.den))))
+    CD = _dict_mul(C, D)
+    assert {e: v for e, v in lhs.items() if v} == {
+        e: _dict_mul(v.num, _dict_divexact(CD, v.den))
+        for e, v in compute_E(lam).terms.items()}
 
 
 def test_compute_E_result_is_owned_by_the_caller():
@@ -279,9 +301,10 @@ def test_compute_E_takes_no_gcd(gcd_calls):
     for lam in POOL + ((3, 2, 1, 0, 0),):
         compute_E(lam)
     assert gcd_calls == []
-    # the counter does see QTRat arithmetic on a coefficient of E (the
-    # reference route gcd_raising runs in the reference field instead)
-    compute_E((1, 0)).coeff_of((0, 1)) + 1
+    # the counter does see a QTRat built from a coefficient of E, which
+    # reduces by a gcd (the reference route gcd_raising takes the PRS gcd)
+    c = compute_E((1, 0)).coeff_of((0, 1))
+    assert QTRat(c.num, c.den) == c
     assert gcd_calls
 
 
@@ -348,12 +371,12 @@ def test_raise_E_invariants_raise_internal_error():
     # an E that is not monic at x^lam breaks the lead identity t (1-d) D
     E = compute_E((0, 1, 2))
     with pytest.raises(InternalError):
-        raise_E((0, 1, 2), 1, E.scale(2))
+        raise_E((0, 1, 2), 1, scale(E, 2))
     assert raise_E((0, 1, 2), 1, E) == compute_E((1, 0, 2))
     # 1 - q^2 t does not divide D_(0,1) = 1 - q t^2
-    outside = ONE / QTRat({(0, 0): 1, (2, 1): -1})
+    outside = QTRat(1, {(0, 0): 1, (2, 1): -1})
     with pytest.raises(InternalError):
-        raise_E((0, 1), 1, XPoly.variable(2, 2).scale(outside))
+        raise_E((0, 1), 1, XPoly.monomial((0, 1), outside))
 
 
 def test_frontier_E_4210_from_cold_caches():
@@ -480,16 +503,15 @@ def test_a_failing_move_is_named(monkeypatch, capsys):
 @pytest.mark.parametrize("fault, code, message", [
     (f"hecke._move = lower_term_move({BAD_MOVE})", 2,
      f"the spectral branch fails at {BAD_MOVE[0]}, i={BAD_MOVE[1]}"),
-    ("hecke.compute_f = lambda lam: compute_f(lam).scale(QTRat(2))", 3,
+    ("hecke.compute_f = lambda lam: scale(compute_f(lam), 2)", 3,
      "the move at (0, 1, 2, 3), i=2 breaks the lead identity"),
 ])
 def test_chain_faults_under_optimize(fault, code, message):
     # the eigen fault is a typed error (exit 2) and the lead identity an
     # InternalError (exit 3), and -O keeps both
-    script = ("import sys; from helpers import lower_term_move; "
+    script = ("import sys; from helpers import lower_term_move, scale; "
               "from macprod import cli, hecke; "
               "from macprod.matprod import compute_f; "
-              "from macprod.qtfield import QTRat; "
               f"{fault}; "
               "sys.exit(cli.main(['compute', 'E', '--lambda', '3,2,0,1']))")
     tests = Path(__file__).resolve().parent

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import add, mul, variable
 from macprod import clear_caches, matprod
 from macprod.errors import IndexOutOfRange, InternalError, LengthMismatch
 from macprod.hecke import eigen_check
@@ -20,13 +21,11 @@ from macprod.matprod import (_ONE_F, _raw_sums, _transfers, compute_P,
                              recursion_prefactor, recursion_report,
                              transfer_table, transition, verify_generating,
                              verify_recursion)
-from macprod.qtfield import QTRat, one
 from macprod.xpoly import XPoly
 from product_walk import level_transfers, product_configurations
+from ref_field import Rat, q as Q, t as T
 
-Q = QTRat.monomial(qe=1)
-T = QTRat.monomial(te=1)
-ONE = one()
+ONE = Rat(1)
 
 
 def test_f_001122_frozen():
@@ -171,7 +170,7 @@ def test_raw_sum_leading_coefficient():
 def test_f_rank_stability():
     assert compute_f((1, 0), 1) == compute_f((1, 0), 2)
     assert compute_f((2, 1), 2) == compute_f((2, 1), 3)
-    assert compute_f((0, 0), 0) == XPoly.one(2)
+    assert compute_f((0, 0), 0) == XPoly.monomial((0, 0))
 
 
 def test_f_monic_homogeneous_random():
@@ -187,10 +186,8 @@ def test_f_monic_homogeneous_random():
 def test_all_parts_positive_factorisation():
     for lam in [(1, 1), (2, 1), (3, 2, 1), (3, 1, 2)]:
         n = len(lam)
-        xs = XPoly.one(n)
-        for i in range(1, n + 1):
-            xs = xs * XPoly.variable(i, n)
-        assert compute_f(lam) == xs * compute_f(tuple(p - 1 for p in lam))
+        xs = XPoly.monomial((1,) * n)
+        assert compute_f(lam) == mul(xs, compute_f(tuple(p - 1 for p in lam)))
 
 
 def test_recursion_3102():
@@ -278,10 +275,10 @@ def test_transfer_table_lists_the_recursion_terms():
 
 
 def test_compute_P_small():
-    x1, x2 = XPoly.variable(1, 2), XPoly.variable(2, 2)
-    assert compute_P((1,), 2) == x1 + x2
-    assert compute_P((1, 1)) == x1 * x2
-    assert compute_P((2, 1)) == x1 * x1 * x2 + x1 * x2 * x2
+    x1, x2 = variable(1, 2), variable(2, 2)
+    assert compute_P((1,), 2) == add(x1, x2)
+    assert compute_P((1, 1)) == mul(x1, x2)
+    assert compute_P((2, 1)) == add(mul(mul(x1, x1), x2), mul(mul(x1, x2), x2))
     # Gram-Schmidt against e_2 in the power-sum basis gives the m_11 weight
     assert compute_P((2,), 2).coeff_of((1, 1)) == \
         (ONE + Q) * (ONE - T) / (ONE - Q * T)

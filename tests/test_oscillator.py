@@ -9,16 +9,14 @@ from helpers import bracket
 from macprod.errors import DivergentTrace, NotDyck
 from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, parse_word,
                                 psi_eval, trace_closed_form, walk, word_str)
-from macprod.qtfield import QTRat, one, zero
+from macprod.qtfield import QTRat
 from qtrat_fock import FockMatrix, delta_t_operator, fock_matrix
-
-t = QTRat.monomial(te=1)
-q = QTRat.monomial(qe=1)
+from ref_field import Rat, q, t
 
 
 def geom(qe, te):
     # independent oracle: sum_m (q^qe t^te)^m = 1/(1 - q^qe t^te)
-    return 1 / (1 - QTRat.monomial(qe=qe, te=te))
+    return 1 / (1 - Rat.monomial(qe=qe, te=te))
 
 
 def test_trace_pure_kpow():
@@ -30,7 +28,7 @@ def test_trace_lower_raise_ratio():
     # Tr[a A k^p] / Tr[k^p] = (1 - t)/(1 - t^(p+1)) = 1/[p+1]
     for p in (1, 2, 3, 5):
         w = (LOWER, RAISE, kpow(p, 0))
-        lhs = trace_closed_form(w) / trace_closed_form((kpow(p, 0),))
+        lhs = Rat.of(trace_closed_form(w)) / trace_closed_form((kpow(p, 0),))
         assert lhs == bracket(p + 1).inverse()
 
 
@@ -38,7 +36,7 @@ def test_trace_double_lower_raise_ratio():
     # Tr[a a A A k^p] / Tr[k^p] = [2]/([p+1][p+2])
     for p in (1, 2, 4):
         w = (LOWER, LOWER, RAISE, RAISE, kpow(p, 0))
-        lhs = trace_closed_form(w) / trace_closed_form((kpow(p, 0),))
+        lhs = Rat.of(trace_closed_form(w)) / trace_closed_form((kpow(p, 0),))
         assert lhs == bracket(2) / (bracket(p + 1) * bracket(p + 2))
 
 
@@ -61,8 +59,8 @@ def test_trace_below_zero_dip():
 
 
 def test_trace_unbalanced_is_zero():
-    assert trace_closed_form((LOWER, kpow(1, 0))) == zero()
-    assert trace_closed_form((RAISE, RAISE, LOWER, kpow(2, 1))) == zero()
+    assert trace_closed_form((LOWER, kpow(1, 0))) == Rat(0)
+    assert trace_closed_form((RAISE, RAISE, LOWER, kpow(2, 1))) == Rat(0)
 
 
 def test_trace_divergent():
@@ -119,7 +117,7 @@ def test_fock_matrix_relations():
     lhs = a * A - t * (A * a)
     for m in range(M):
         for i in range(M + 1):
-            want = (1 - t) if i == m else zero()
+            want = (1 - t) if i == m else Rat(0)
             assert lhs.entry(i, m) == want
 
 
@@ -162,9 +160,9 @@ def test_psi_matches_direct_expansion():
     rng = random.Random(31)
     for _ in range(12):
         mvec = tuple(rng.randrange(3) for _ in range(rng.randrange(3)))
-        x = QTRat.monomial(qe=rng.randrange(1, 3), te=rng.randrange(3))
+        x = Rat.monomial(qe=rng.randrange(1, 3), te=rng.randrange(3))
         N = 9
-        direct = zero()
+        direct = Rat(0)
         for n in range(N):
             term = x ** n
             for i, mi in enumerate(mvec, start=1):
@@ -179,13 +177,25 @@ def test_psi_matches_direct_expansion():
                     for te, v in c.items():
                         new[k2 + 1][te + i] = new[k2 + 1].get(te + i, 0) - v
                 coeffs = new
-        tail = zero()
+        tail = Rat(0)
         for k2, c in enumerate(coeffs):
             for te, v in c.items():
                 if v:
                     r = x * t ** k2
-                    tail = tail + QTRat.monomial(te=te, c=v) * r ** N / (1 - r)
+                    tail = tail + Rat.monomial(te=te, c=v) * r ** N / (1 - r)
         assert psi_eval(mvec, x) == direct + tail
+
+
+def test_psi_takes_a_monomial_q_a_t_b():
+    # x = q^a t^b with a, b >= 0; any other x is refused before summing
+    for x in (1 + q, 2 * t, q / t, Rat.monomial(te=-1), Rat(1, 2), 3):
+        with pytest.raises(ValueError):
+            psi_eval((1,), x)
+    # at x = 1 the k = 0 series has ratio 1
+    with pytest.raises(DivergentTrace):
+        psi_eval((1, 2), QTRat(1))
+    assert psi_eval((), t) == 1 / (1 - t)
+    assert psi_eval((), QTRat.monomial(qe=2)) == 1 / (1 - q * q)
 
 
 def test_psi_trace_consistency():
@@ -204,7 +214,7 @@ def test_delta_pipeline_matches_psi_expansion():
     x = q * t
     N = 8
     for mvec in [(1,), (2,), (1, 1), (2, 1), (1, 0, 2)]:
-        prefix = [zero()] + [x ** n for n in range(N)]
+        prefix = [Rat(0)] + [x ** n for n in range(N)]
         for m in mvec:
             prefix = delta_t_operator(prefix, m)
         # coefficient of z^(n+1+len(mvec)) is x^n prod_i (1 - t^(n+i))^(m_i)

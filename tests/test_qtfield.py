@@ -1,33 +1,39 @@
-"""Coefficient-field arithmetic: reduction, field axioms, brackets, JSON.
+"""The coefficient field: reduction, field axioms, brackets, JSON.
 
-The field axioms run twice: on arbitrary values in the reference field
-(conftest.reference_field, the PRS gcd), and on values of the supported
-field in production, with every gcd compared to the reference."""
+The field axioms run on arbitrary values of the reference field
+ref_field.Rat.  On values of the supported field, QTRat(num, den) of a
+value's parts times a common factor must give that value back, with
+every production gcd compared to the PRS one."""
 
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gcd_checked, reference_field
+from conftest import gcd_checked
 from helpers import bracket
 from macprod.errors import (DivisionByZero, NonCyclotomicDenominator,
                             SpecializationPole)
 from macprod.matprod import compute_P
 from macprod.qtfield import (_ONE_D, QTRat, _dict_gcd, _dict_mul, _split,
-                             factor_product, one, specialize, zero)
+                             factor_product, specialize)
+from macprod.xpoly import XPoly
 from prs_gcd import dict_gcd as reference_gcd
+from ref_field import Rat, q, t
 
 
 def mono(qe=0, te=0, c=1):
-    return QTRat.monomial(qe, te, c)
+    return Rat.monomial(qe, te, c)
 
 
-q = mono(qe=1)
-t = mono(te=1)
+def built(a, g):
+    """a as QTRat(num, den) makes it from a's parts both times g."""
+    return QTRat(_dict_mul(a.num, g), _dict_mul(a.den, g))
 
 
 def test_reduction_cancels_common_factor():
@@ -47,8 +53,8 @@ def test_mixed_bivariate_gcd():
     # (1-q t)(1-t^2) / (1-q t)(1-t) = 1 + t
     a = (1 - q * t) * (1 - t * t)
     b = (1 - q * t) * (1 - t)
-    r = a / b
-    assert r == 1 + t
+    r = QTRat(a.num, b.num)
+    assert r == 1 + t == a / b
     assert r.den == _ONE_D
 
 
@@ -58,7 +64,7 @@ def test_zero_denominator_raises():
     with pytest.raises(DivisionByZero):
         QTRat({(0, 0): 1}, {(0, 0): 0})
     with pytest.raises(DivisionByZero):
-        one() / zero()
+        Rat(1) / Rat(0)
 
 
 def test_negative_exponent_monomials():
@@ -70,7 +76,7 @@ def test_negative_exponent_monomials():
 
 def _random_rat(rng, depth=3):
     """Random small rational built from q, t monomial atoms."""
-    atoms = [one(), 1 + t, 1 - t, q, t, 1 - q * t, 2 + q, mono(te=2, c=3),
+    atoms = [Rat(1), 1 + t, 1 - t, q, t, 1 - q * t, 2 + q, mono(te=2, c=3),
              1 - mono(qe=1, te=2)]
     val = atoms[rng.randrange(len(atoms))]
     for _ in range(depth):
@@ -82,7 +88,7 @@ def _random_rat(rng, depth=3):
             val = val - other
         elif op == 2:
             val = val * other
-        elif not other.is_zero():
+        elif other:
             val = val / other
     return val
 
@@ -110,7 +116,7 @@ def _binomial_rat(rng):
 def _t_rat(rng):
     num, den = ({(0, k): rng.randrange(-2, 3) for k in range(3)}
                 for _ in range(2))
-    return QTRat(num, den) if any(den.values()) else QTRat(num)
+    return Rat(num, den) if any(den.values()) else Rat(num)
 
 
 def _axioms(a, b, c):
@@ -118,25 +124,29 @@ def _axioms(a, b, c):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
-    assert a - a == zero()
-    if not a.is_zero():
-        assert a * a.inverse() == one()
+    assert a - a == Rat(0)
+    if a:
+        assert a * a.inverse() == Rat(1)
         assert (a ** 3) * (a ** -2) == a
 
 
 def test_field_axioms_random():
     rng = random.Random(20260815)
-    with reference_field():
-        for _ in range(60):
-            _axioms(*(_random_rat(rng) for _ in range(3)))
+    for _ in range(60):
+        _axioms(*(_random_rat(rng) for _ in range(3)))
 
 
 def test_field_axioms_random_on_the_field():
+    # the axioms on values of one kind, and the production reduction of
+    # each value they form, over its own denominator
     rng = random.Random(20260815)
     with gcd_checked() as calls:
         for _ in range(60):
             draw = rng.choice((_binomial_rat, _t_rat))
-            _axioms(*(draw(rng) for _ in range(3)))
+            a, b, c = (draw(rng) for _ in range(3))
+            _axioms(a, b, c)
+            for v in (a + b, a * b * c, a - b):
+                assert built(v, v.den) == v
     assert calls
 
 
@@ -147,7 +157,7 @@ def _polys(min_size=0):
                            min_size=min_size, max_size=3)
 
 
-_rats = st.builds(reference_field()(QTRat), _polys(), _polys(1))
+_rats = st.builds(Rat, _polys(), _polys(1))
 
 
 @st.composite
@@ -166,12 +176,12 @@ def _field(draw, count):
         poly = st.dictionaries(st.tuples(st.just(0), st.integers(0, 3)),
                                st.sampled_from((-2, -1, 1, 2)),
                                min_size=1, max_size=3)
-        values = st.builds(QTRat, poly | st.just({}), poly)
+        values = st.builds(Rat, poly | st.just({}), poly)
     return [draw(values) for _ in range(count)] + [draw(poly)]
 
 
 def _is_canonical(a):
-    if a.is_zero():
+    if not a:
         return a.den == _ONE_D
     # coprime, lex-leading denominator coefficient positive, and per
     # variable the lowest exponent of num and den is 0 on one side and
@@ -186,37 +196,39 @@ def _exact_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + zero() == a and a * one() == a
-    assert a + (-a) == zero() and a - a == zero()
+    assert a + Rat(0) == a and a * Rat(1) == a
+    assert a + (-a) == Rat(0) and a - a == Rat(0)
     if a:
-        assert a * a.inverse() == one() and b / a * a == b
+        assert a * a.inverse() == Rat(1) and b / a * a == b
 
 
 @settings(max_examples=60, deadline=None)
 @given(_rats, _rats, _rats)
 def test_field_axioms_hypothesis(a, b, c):
-    with reference_field():
-        _exact_axioms(a, b, c)
+    _exact_axioms(a, b, c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_field(3))
 def test_field_axioms_hypothesis_on_the_field(values):
-    a, b, c, _ = values
+    a, b, c, g = values
+    _exact_axioms(a, b, c)
     with gcd_checked():
-        _exact_axioms(a, b, c)
+        for v in (a + b, a * (b + c), a - c):
+            assert built(v, g) == v
 
 
-def _structural(a, b, g):
+def _structural(a, b, g, build):
     # canonical form: every result is reduced, and equality of values
-    # (cross-multiplication) coincides with equality of (num, den)
+    # (cross-multiplication) coincides with equality of (num, den); build
+    # makes a value from an unreduced pair
     for v in (a, b, a + b, a * b, a - b):
         assert _is_canonical(v)
     same = _dict_mul(a.num, b.den) == _dict_mul(b.num, a.den)
     assert (a == b) == same
     back = (a + b) - b
     assert (back.num, back.den) == (a.num, a.den)
-    expanded = QTRat(_dict_mul(a.num, g), _dict_mul(a.den, g))
+    expanded = build(_dict_mul(a.num, g), _dict_mul(a.den, g))
     assert (expanded.num, expanded.den) == (a.num, a.den)
     assert hash(expanded) == hash(a)
     assume(b)
@@ -227,19 +239,18 @@ def _structural(a, b, g):
 @settings(max_examples=60, deadline=None)
 @given(_rats, _rats, _polys(1))
 def test_equal_values_are_structurally_equal(a, b, g):
-    with reference_field():
-        _structural(a, b, g)
+    _structural(a, b, g, Rat)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_field(2))
 def test_equal_values_are_structurally_equal_on_the_field(values):
     with gcd_checked():
-        _structural(*values)
+        _structural(*values, QTRat)
 
 
 def _reduced(a):
-    if a.is_zero():
+    if not a:
         assert a.den == _ONE_D
     else:
         assert reference_gcd(a.num, a.den) == _ONE_D
@@ -248,22 +259,22 @@ def _reduced(a):
 
 def test_reduced_invariant_random():
     rng = random.Random(7)
-    with reference_field():
-        for _ in range(40):
-            _reduced(_random_rat(rng))
+    for _ in range(40):
+        _reduced(_random_rat(rng))
 
 
 def test_reduced_invariant_random_on_the_field():
     rng = random.Random(7)
     with gcd_checked() as calls:
         for _ in range(40):
-            _reduced(rng.choice((_binomial_rat, _t_rat))(rng))
+            v = rng.choice((_binomial_rat, _t_rat))(rng)
+            _reduced(built(v, v.den))
     assert calls
 
 
 def test_bracket_values():
-    assert bracket(0) == zero()
-    assert bracket(1) == one()
+    assert bracket(0) == Rat(0)
+    assert bracket(1) == Rat(1)
     assert bracket(2) == 1 + t
     assert bracket(3) == 1 + t + t * t
     # [m] at t := 1 equals m
@@ -284,7 +295,7 @@ def test_specialize_rules():
     r = (1 - q * t) / (1 - t)
     assert specialize(r, q=0) == 1 / (1 - t)
     assert specialize(r, q="t") == 1 + t  # (1-t^2)/(1-t)
-    assert specialize(r, q=1) == one()  # (1-t)/(1-t)
+    assert specialize(r, q=1) == Rat(1)  # (1-t)/(1-t)
     v = specialize(r, q=Fraction(1, 2), t=Fraction(1, 3))
     assert v.as_fraction() == Fraction(1 - Fraction(1, 6), Fraction(2, 3))
 
@@ -315,28 +326,27 @@ def test_specialize_pole():
         specialize(r, q=1)
     # but poles only count after reduction: (1-q)/(1-q) is 1
     s = (1 - q) / (1 - q)
-    assert specialize(s, q=1) == one()
+    assert specialize(s, q=1) == Rat(1)
 
 
-def _round_trip(a):
+def _round_trip(a, cls):
     blob = json.dumps(a.to_obj(), sort_keys=True)
-    b = QTRat.from_obj(json.loads(blob))
+    b = cls.from_obj(json.loads(blob))
     assert b == a
     assert json.dumps(b.to_obj(), sort_keys=True) == blob
 
 
 def test_json_round_trip_bit_exact():
     rng = random.Random(99)
-    with reference_field():
-        for _ in range(30):
-            _round_trip(_random_rat(rng))
+    for _ in range(30):
+        _round_trip(_random_rat(rng), Rat)
 
 
 def test_json_round_trip_bit_exact_on_the_field():
     rng = random.Random(99)
     with gcd_checked() as calls:
         for _ in range(30):
-            _round_trip(rng.choice((_binomial_rat, _t_rat))(rng))
+            _round_trip(rng.choice((_binomial_rat, _t_rat))(rng), QTRat)
     assert calls
 
 
@@ -393,9 +403,7 @@ def test_non_cyclotomic_denominator_raises():
         QTRat.from_obj({"num": [[0, 0, 1]],
                         "den": [[0, 0, 1], [0, 1, 1], [1, 0, 1]]})
     with pytest.raises(NonCyclotomicDenominator):
-        one() / (1 + q + t)
-    with pytest.raises(NonCyclotomicDenominator):
-        (q + t) / (1 + q + t)
+        QTRat((q + t).num, (1 + q + t).num)
     # the gate is the denominator: a univariate numerator vouches for none
     num = {(0, 0): 1, (1, 0): 1}
     den = _dict_mul({(0, 0): 2, (1, 0): 1}, {(0, 0): 2, (0, 1): 1})
@@ -404,34 +412,30 @@ def test_non_cyclotomic_denominator_raises():
     with pytest.raises(NonCyclotomicDenominator):
         QTRat.from_obj({"num": [[0, 0, 1], [1, 0, 1]],
                         "den": [[0, 0, 4], [0, 1, 2], [1, 0, 2], [1, 1, 1]]})
-    with reference_field():
-        assert QTRat(1, bad) * (1 + q + t) == one()
-        assert QTRat(num, den) * (2 + q) == (1 + q) / (2 + t)
+    assert Rat(1, bad) * (1 + q + t) == Rat(1)
+    assert Rat(num, den) * (2 + q) == (1 + q) / (2 + t)
 
 
 def test_a_product_or_inverse_outside_the_field_raises_at_once():
-    # (2 + q)(2 + t) and 1 + q + t are formed without a gcd on them
-    with pytest.raises(NonCyclotomicDenominator):
-        one() / (2 + q) * (one() / (2 + t))
-    with pytest.raises(NonCyclotomicDenominator):
-        one() / (2 + q) + one() / (2 + t)
-    with pytest.raises(NonCyclotomicDenominator):
-        (1 + q + t).inverse()
-    # in the field a product takes only its two cancelling gcds, even of
-    # two shapes, and an inverse takes none
-    a, b, c = one() / (1 - q), one() / (1 - q * t), 2 + q
+    # QTRat does no arithmetic, so the denominators that a product, a sum
+    # and an inverse once formed, (2 + q)(2 + t) and 1 + q + t, raise
+    # where a value is made of them
+    for num, den in ((1, (2 + q) * (2 + t)), (4 + q + t, (2 + q) * (2 + t)),
+                     (1, 1 + q + t)):
+        with pytest.raises(NonCyclotomicDenominator):
+            QTRat(Rat.of(num).num, den.num)
+    # in the field, denominators of two shapes, or univariate, take one
+    # gcd each
     with gcd_checked() as calls:
-        ab = a * b
+        ab = QTRat(1, ((1 - q) * (1 - q * t)).num)
+        c = QTRat(1, (2 + q).num)
         assert len(calls) == 2
-        inverses = [ab.inverse(), c.inverse()]
-        assert len(calls) == 2
-    assert inverses == [(1 - q) * (1 - q * t), one() / c]
+    assert [ab, c] == [Rat(1) / (1 - q) / (1 - q * t), Rat(1) / (2 + q)]
     # the reference field takes every denominator, such as the pivot
     # q t^2 - q t - 1 of the row-reducing eigen oracle
-    with reference_field():
-        p = q * t * t - q * t - 1
-        assert p.inverse() * p == one()
-        assert one() / (2 + q) * (one() / (2 + t)) * (2 + q) == one() / (2 + t)
+    p = q * t * t - q * t - 1
+    assert p.inverse() * p == Rat(1)
+    assert 1 / (2 + q) * (1 / (2 + t)) * (2 + q) == 1 / (2 + t)
 
 
 def test_dict_gcd_cases():
@@ -461,3 +465,34 @@ def test_pow_and_str():
     r = (1 - t) ** 2
     assert r == 1 - 2 * t + t * t
     assert str(1 - q * t) == "-q*t + 1"
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ({"num": [[0, 0, 1.5]], "den": [[0, 0, 1]]}, "num[0]"),
+    ({"num": [[0, 0, True]], "den": [[0, 0, 1]]}, "num[0]"),
+    ({"num": [[0, 0, "2"]], "den": [[0, 0, 1]]}, "num[0]"),
+    ({"num": [[0, 0, 1]], "den": [[0, 0, 1], [1.0, 0, 1]]}, "den[1]"),
+    ({"num": [[0, 0, 1]], "den": [[0, 1]]}, "den[0]")])
+def test_from_obj_accepts_only_json_integers(entry, bad):
+    # a coefficient 1.5 once loaded as 1, and True and "2" were accepted
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        QTRat.from_obj(entry)
+
+
+QTRAT_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                    "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                    "__neg__", "inverse")
+XPOLY_ARITHMETIC = ("one", "variable", "_check", "__add__", "__sub__",
+                    "__neg__", "__mul__", "__rmul__", "scale", "apply_perm",
+                    "eval_ones")
+
+
+def test_values_do_no_arithmetic():
+    # after every test module is imported: no production path can lean on
+    # field arithmetic, and the per-operation field gate is gone
+    assert [n for n in QTRAT_ARITHMETIC if hasattr(QTRat, n)] == []
+    assert [n for n in XPOLY_ARITHMETIC if hasattr(XPoly, n)] == []
+    src = Path(__file__).resolve().parents[1] / "src" / "macprod"
+    gate = re.compile(r"\b(_gated|_den_product|_variables)\b")
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if gate.search(p.read_text(encoding="utf-8"))] == []
