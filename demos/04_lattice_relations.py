@@ -3,9 +3,9 @@
 Everything downstream (the q-cycling of the basis, the transition
 recursion, the normalization factor) rests on four operator identities
 between R-matrices, L-matrices and the column operators.  They are
-polynomial identities in x, y over the oscillator algebra, so checking
-all matrix elements on enough Fock states proves them at the truncation;
-the comparison is symbolic in q and t throughout.
+polynomial identities in x, y over the oscillator algebra, so comparing
+the normal forms of both sides checks every matrix element on every Fock
+state at once; the comparison is symbolic in q and t throughout.
 """
 
 from macprod import verify_intertwining

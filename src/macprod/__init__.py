@@ -3,7 +3,7 @@
 The package computes the inhomogeneous basis f_lambda as traces of
 t-deformed boson operators, raises it to non-symmetric Macdonald
 polynomials E_lambda, symmetrizes to P_lambda, and verifies the exchange
-relations behind the construction on truncated Fock spaces.  Everything
+relations behind the construction on the whole Fock space.  Everything
 is exact: coefficients live in the fraction field of Z[q, t].
 """
 

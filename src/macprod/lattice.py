@@ -8,31 +8,34 @@ an ordered word, leftmost applied last, exactly as in the trace engine.
 
 The rational R-matrix entries b+- = t(x-y)/(tx-y), (x-y)/(tx-y) and
 c+- = y(t-1)/(tx-y), x(t-1)/(tx-y) are stored cleared of the common
-denominator (tx-y), so every verification below is polynomial identity
-checking in x, y against truncated Fock states.
+denominator (tx-y), so every verification below is a polynomial identity
+in x, y between operators on the Fock space.
 
 Every scalar here lies in Z[q^+-1, t^+-1]: the R entries are t, -1 and
 t - 1, the twist contributes powers of q, and the Fock action only
 multiplies by 1 - t^m and monomials.  Scalars are therefore Laurent dicts
-{(q_exp, t_exp): int}, as in xpoly.XNum, and the whole evaluation and
-comparison runs on integer arithmetic with no division and no gcd.
+{(q_exp, t_exp): int}, as in xpoly.XNum, and the whole comparison runs on
+integer arithmetic with no division and no gcd.
 
-A relation is checked on the truncated Fock states whose occupations are
-all at most cutoff-2.  Each matrix position takes the formal difference
-of the two sides, merges its terms that carry the same word on every
-slot, and contracts the whole box of input states one slot at a time, so
-a word is walked once per slot and input occupation rather than once per
-input state.  The counterexample reported is the least failing input
-state in itertools.product order; eval_entry is the same contraction
-over a box of one state.
+A relation is checked on every Fock state at once.  Each matrix position
+takes the formal difference of the two sides, merges its terms that carry
+the same word on every slot, and contracts it one slot at a time to a
+normal form: per slot, the output shift d and the exponents (alpha, beta)
+of (t^m)^alpha (q^m)^beta in the input occupation m, as
+oscillator.normal_form gives them.  The relation holds exactly when
+every normal form is empty.  A failure is located on the truncated box
+of input states whose occupations are all at most cutoff-2, grown until
+a state fails; the counterexample reported is the least failing state in
+itertools.product order.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
-from .oscillator import LOWER, RAISE, kpow, walk
+from .oscillator import LOWER, RAISE, kpow, normal_form
 from .qtfield import _ONE_D, _dict_iadd, _dict_mul, _dict_neg
 
 _T = {(0, 1): 1}
@@ -255,7 +258,7 @@ def twist_term(r, space=None):
                          for f in range(2, r + 1)])
 
 
-#### truncated-state evaluation
+#### normal-form comparison
 
 def _groups(terms, slot_index, n):
     """Merge the terms that carry the same word on every slot.
@@ -273,36 +276,36 @@ def _groups(terms, slot_index, n):
     return {w: c for w, c in out.items() if c}
 
 
-def _contract(groups, occupations, cutoff):
-    """Matrix elements of grouped terms over a box of input states.
+def _contract(groups):
+    """The normal form of a sum of grouped terms, on every state at once.
 
-    occupations[i] lists the input occupations of slot i.  Slot by slot,
-    each group's word on that slot is walked once per input occupation,
-    and scalar * walk factor is added into a table keyed by the (input,
-    output) occupations of the slots done so far and grouped under the
-    words still to come, so terms that agree on the slots ahead merge as
-    soon as the slots behind them are contracted.  Zero entries are
-    dropped after each slot.  The slots run from the last to the first:
-    the k tails of the L rows sit on the high families, so their words
-    tell the terms apart and the low-family words left over coincide
-    sooner (about half the work of the first-to-last order on zf).
-    Returns {(in_state, out_state): {(xdeg, ydeg, q_exp, t_exp): int}},
-    nonzero."""
-    table = {(): groups}
-    for ms in reversed(occupations):
-        moves = {}   # word -> [(m, h, factor items, or None for the unit)]
+    Slot by slot, each group's word on that slot is walked once
+    (oscillator.normal_form), and scalar * coefficient is added into a
+    table keyed by the (d, alpha, beta) of the slots done so far and
+    grouped under the words still to come, so terms that agree on the
+    slots ahead merge as soon as the slots behind them are contracted.
+    Zero entries are dropped after each slot.  The slots run from the
+    last to the first: the k tails of the L rows sit on the high
+    families, so their words tell the terms apart and the low-family
+    words left over coincide sooner.
+    Returns {(d_1, alpha_1, beta_1, .., d_n, alpha_n, beta_n):
+    {(xdeg, ydeg, q_exp, t_exp): int}}, nonzero; see _at for its value
+    on one input state."""
+    table = {(): groups} if groups else {}
+    for _ in range(len(next(iter(groups), ()))):  # once per slot
+        forms = {}  # word -> [((d, alpha, beta), items, or None for 1)]
         nxt = {}
         for key, rests in table.items():
             for rest, coeff in rests.items():
                 word, tail = rest[-1], rest[:-1]
-                steps = moves.get(word)
-                if steps is None:
-                    steps = moves[word] = [
-                        (m, h, None if f == _ONE_D else tuple(f.items()))
-                        for m in ms for h, f in (walk(word, m, cutoff),)
-                        if h is not None]
-                for m, h, f in steps:
-                    tails = nxt.setdefault((m, h) + key, {})
+                form = forms.get(word)
+                if form is None:
+                    d, cs = normal_form(word)
+                    form = forms[word] = [
+                        ((d,) + ab, None if c == _ONE_D else tuple(c.items()))
+                        for ab, c in cs.items()]
+                for head, f in form:
+                    tails = nxt.setdefault(head + key, {})
                     acc = tails.get(tail)
                     if f is None:
                         if acc is None:
@@ -326,47 +329,65 @@ def _contract(groups, occupations, cutoff):
                     kept[tail] = c
             if kept:
                 table[key] = kept
-    return {(key[0::2], key[1::2]): tails[()] for key, tails in table.items()}
+    return {key: tails[()] for key, tails in table.items()}
 
 
-def eval_entry(entry, slot_index, state, cutoff):
-    """Matrix elements of a formal entry on |state>.
-
-    Returns {out_state: {(xdeg, ydeg, q_exp, t_exp): int}}, the nonzero
-    coefficients of x^xdeg y^ydeg q^q_exp t^t_exp in <out_state|entry|state>,
-    keyed by occupation tuples aligned with slot_index (a dict slot ->
-    position).  This is the contraction of matrices_first_mismatch over
-    the one-state box."""
-    groups = _groups(entry, slot_index, len(state))
-    return {out: c for (_, out), c in
-            _contract(groups, [(m,) for m in state], cutoff).items()}
+def _at(form, state):
+    """A contracted normal form on one input state:
+    {out_state: {(xdeg, ydeg, q_exp, t_exp): int}}, nonzero.  The key
+    (d, alpha, beta) of each slot sends occupation m to m + d and
+    multiplies by (t^m)^alpha (q^m)^beta."""
+    out = {}
+    for key, coeff in form.items():
+        st = sum(a * m for a, m in zip(key[1::3], state))
+        sq = sum(b * m for b, m in zip(key[2::3], state))
+        acc = out.setdefault(tuple(m + d for m, d in zip(state, key[0::3])),
+                             {})
+        for (x, y, qe, te), v in coeff.items():
+            k = (x, y, qe + sq, te + st)
+            acc[k] = acc.get(k, 0) + v
+    return {o: c for o, acc in out.items()
+            if (c := {k: v for k, v in acc.items() if v})}
 
 
 def matrices_first_mismatch(m1, m2, cutoff):
-    """First disagreeing matrix element over all input states with
-    occupations <= cutoff-2, as (position, slots, state), or None.
+    """First disagreeing matrix element, as (position, slots, state), or
+    None when the two matrices agree on every Fock state.
 
     Evaluation is linear in the entry, so each position contracts the
-    formal difference of the two entries over the whole box of input
-    states at once: it vanishes on a state exactly when both sides agree
-    there.  The state reported is the least failing one in the order of
-    itertools.product, which is tuple order."""
+    formal difference of its two entries to a normal form, which is empty
+    exactly when both sides agree on every state.  A failure is located
+    as a truncated box would see it: the first failing position, and in
+    it the first failing state in itertools.product order, over the
+    occupations up to cutoff-2.  While no position fails there, the box
+    grows by one occupation per slot.  By a Vandermonde argument a
+    nonzero normal form fails on the box of side its largest count of
+    distinct (alpha, beta) on one slot, so the search ends there."""
     if cutoff < 2:
         raise CutoffTooSmall("need cutoff >= 2 for the comparison margin")
     if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
         return ((), (), ())
     slots = sorted(m1.slots() | m2.slots())
     slot_index = {s: i for i, s in enumerate(slots)}
-    box = [range(cutoff - 1)] * len(slots)
+    failing = []
     for pos in sorted(set(m1.entries) | set(m2.entries)):
         diff = m1.entry(*pos) + tuple(t._replace(scalar=_dict_neg(t.scalar))
                                       for t in m2.entry(*pos))
-        groups = _groups(diff, slot_index, len(slots))
-        if groups:
-            failing = _contract(groups, box, cutoff)
-            if failing:
-                return (pos, tuple(slots), min(inp for inp, _ in failing))
-    return None
+        form = _contract(_groups(diff, slot_index, len(slots)))
+        if form:
+            failing.append((pos, form))
+    if not failing:
+        return None
+    bound = max((len({key[i + 1:i + 3] for key in form})
+                 for _, form in failing for i in range(0, 3 * len(slots), 3)),
+                default=1)
+    for side in range(cutoff - 1, max(cutoff - 1, bound) + 1):
+        for pos, form in failing:
+            for state in product(range(side), repeat=len(slots)):
+                if _at(form, state):
+                    return (pos, tuple(slots), state)
+    raise InternalError(f"the nonzero normal form at {failing[0][0]} "
+                        f"vanishes on the box of side {bound}")
 
 
 def _kron_prod(A, B):
@@ -426,15 +447,13 @@ def intertwining_sides(kind, r):
 
 
 def intertwining_mismatch(kind, r, cutoff=4):
-    """None when the relation holds on the truncation; else the first
-    disagreeing (matrix position, slot layout, input state).
-
-    Input occupations run to cutoff-2 in every family so that two raises
-    per family never touch the truncation edge."""
+    """None when the relation holds on every Fock state; else the first
+    disagreeing (matrix position, slot layout, input state), looked for
+    first among the occupations up to cutoff-2 (matrices_first_mismatch)."""
     lhs, rhs = intertwining_sides(kind, r)
     return matrices_first_mismatch(lhs, rhs, cutoff)
 
 
 def verify_intertwining(kind, r, cutoff=4):
-    """Exact check of an exchange relation on truncated Fock states."""
+    """Exact check of an exchange relation on every Fock state."""
     return intertwining_mismatch(kind, r, cutoff) is None

@@ -408,13 +408,6 @@ def _shape_sums(r, n):
     return {key: _sum_groups(g) for key, g in groups.items()}
 
 
-def generating_trace(r, n):
-    """Raw trace sums of all length-n words in components 0..r, grouped by
-    sorted shape."""
-    return {key: _reduced_poly(n, sums)
-            for key, sums in _shape_sums(r, n).items()}
-
-
 def verify_generating(r, n):
     """Grouped raw traces times Omega must reproduce P_lam shape by
     shape."""

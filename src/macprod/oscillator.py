@@ -6,25 +6,22 @@ States |0>, |1>, ... carry the radical-free action
     kpow(p, c): |m> -> t^(p m) q^(c m) |m>,
 
 so a A - t A a = (1 - t) and A a = 1 - k.  Words are tuples of atoms; the
-leftmost atom is the operator applied last.  Traces over m >= 0 are summed
-in closed form by walking the word once: no normal ordering is needed, and
-a walk that dips below occupation zero picks up the factor (1 - t^0) = 0
-automatically at the offending m, so the geometric resummation is valid
-without case analysis.
+leftmost atom is the operator applied last.  One symbolic walk of a word,
+normal_form, gives its matrix elements <m+d|word|m> on every state m at
+once as a finite sum of coefficients times (t^m)^alpha (q^m)^beta.  No
+normal ordering is needed: a walk that dips below occupation zero picks
+up the factor (1 - t^0) = 0 automatically at the offending m.  Traces
+over m >= 0 are the d = 0 case, summed as geometric series; the lattice
+layer checks exchange relations by comparing normal forms.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
-
 from .errors import DivergentTrace, NotDyck
-from .qtfield import _ONE_D, Factored, QTRat, _dict_mul
+from .qtfield import _ONE_D, Factored, QTRat
 
 LOWER = ("a",)
 RAISE = ("A",)
-
-_NO_FACTOR = MappingProxyType({})
 
 
 def kpow(te=1, qe=0):
@@ -45,8 +42,11 @@ def parse_word(text):
         elif tok == "k":
             out.append(kpow())
         elif tok.startswith("k^(") and tok.endswith(")"):
-            body = tok[3:-1]
-            te, qe = (int(v) for v in body.split(","))
+            try:
+                te, qe = (int(v) for v in tok[3:-1].split(","))
+            except ValueError:
+                raise ValueError(
+                    f"unknown oscillator token {tok!r}") from None
             out.append(kpow(te, qe))
         else:
             raise ValueError(f"unknown oscillator token {tok!r}")
@@ -66,38 +66,6 @@ def word_str(word):
     return " ".join(toks)
 
 
-@lru_cache(maxsize=1 << 14)
-def walk(word, m, cutoff=None):
-    """Apply the word (a tuple of atoms) to |m>; return (m_out, factor).
-
-    The factor is a read-only Laurent dict {(q_exp, t_exp): int}: each
-    lower at height h contributes (1 - t^h) and each kpow(p, c) the
-    monomial t^(p h) q^(c h), so no division ever occurs.  With a cutoff
-    M the top state is killed by the raise atom (A|M> = 0), matching the
-    truncated matrix representation; the output is then (None, {}).
-    Results are memoised per (word, m, cutoff).
-    """
-    h = m
-    factor = {(0, 0): 1}
-    for atom in reversed(word):
-        tag = atom[0]
-        if tag == "A":
-            if cutoff is not None and h >= cutoff:
-                return None, _NO_FACTOR
-            h += 1
-        elif tag == "a":
-            if h == 0:
-                return None, _NO_FACTOR
-            factor = _dict_mul(factor, {(0, 0): 1, (0, h): -1})
-            h -= 1
-        else:
-            _, te, qe = atom
-            if te * h or qe * h:
-                factor = {(a + qe * h, b + te * h): v
-                          for (a, b), v in factor.items()}
-    return h, MappingProxyType(factor)
-
-
 def _expand_lowers(heights):
     """Coefficients of prod_s (1 - t^{h_s} y) in y: entry k maps
     t-exponent -> int for the y^k term."""
@@ -112,15 +80,20 @@ def _expand_lowers(heights):
     return coeffs
 
 
-def trace_factored(word):
-    """Sum_{m>=0} <m|word|m> as a Factored value, denominators factored.
+def normal_form(word):
+    """The matrix elements of a word on every Fock state at once.
 
-    Walking right to left with symbolic offset h from the start state m,
-    each lower contributes (1 - t^(h+m)), each kpow(p,c) contributes
-    t^(p(h+m)) q^(c(h+m)); the product expands into finitely many
-    geometric series in m, summed as sum_k c_k / (1 - q^Q t^(P+k)).
-    Raises DivergentTrace when the total kpow exponent is (0, 0) on a
-    balanced word (ratio-1 geometric series).
+    Returns (d, coeffs) with coeffs = {(alpha, beta): Laurent dict
+    {(q_exp, t_exp): int}}, nonzero, such that for every m >= 0
+
+        <m+d|word|m> = sum c_(alpha, beta) (t^m)^alpha (q^m)^beta,
+
+    which is 0 when the walk passes below occupation zero.  Walking right
+    to left with symbolic offset h from the start state m, each lower
+    contributes (1 - t^(h+m)) and each kpow(p, c) t^(p(h+m)) q^(c(h+m));
+    the product of the lowers expands in powers of t^m.  Distinct
+    (alpha, beta) give linearly independent functions of m, so a sum of
+    normal forms vanishes on every state exactly when it is empty.
     """
     h = 0
     ct = cq = 0  # constant Laurent prefactor exponents
@@ -139,14 +112,23 @@ def trace_factored(word):
             cq += qe * h
             P += te
             Q += qe
-    if h != 0:
+    return h, {(P + k, Q): {(cq, ct + te): v for te, v in c.items()}
+               for k, c in enumerate(_expand_lowers(lower_heights)) if c}
+
+
+def trace_factored(word):
+    """Sum_{m>=0} <m|word|m> as a Factored value, denominators factored:
+    the d = 0 normal form summed as sum c / (1 - q^beta t^alpha).
+    Raises DivergentTrace when the total kpow exponent is (0, 0) on a
+    balanced word (ratio-1 geometric series).
+    """
+    d, coeffs = normal_form(word)
+    if d != 0:
         return Factored({})
-    if P == 0 and Q == 0:
+    if (0, 0) in coeffs:
         raise DivergentTrace("balanced word with no damping k-power")
-    terms = [Factored({(cq, ct + te): v for te, v in c.items()})
-             * Factored.binomial(Q, P + k, -1)
-             for k, c in enumerate(_expand_lowers(lower_heights)) if c]
-    return Factored.sum(terms).cancel()
+    return Factored.sum([Factored(c) * Factored.binomial(beta, alpha, -1)
+                         for (alpha, beta), c in coeffs.items()]).cancel()
 
 
 def trace_closed_form(word):

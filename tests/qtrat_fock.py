@@ -1,15 +1,16 @@
 """Truncated Fock space with QTRat coefficients.
 
-The test oracle for macprod.oscillator.walk and macprod.lattice, which
-evaluate operator words on Fock states with Laurent dicts over
-Z[q^+-1, t^+-1].  Everything here is plain Q(q, t) arithmetic, in the
-reference field ref_field.Rat:
+The test oracle for macprod.oscillator.normal_form and macprod.lattice,
+which give the matrix elements of operator words on every Fock state at
+once, with Laurent dicts over Z[q^+-1, t^+-1].  Everything here is plain
+Q(q, t) arithmetic, in the reference field ref_field.Rat:
 
     A|m> = |m+1> (A|M> = 0 at the cutoff M)
     a|m> = (1 - t^m)|m-1>
     kpow(p, c)|m> = t^(p m) q^(c m)|m>
 
-and the comparator evaluates both matrices separately on every state.
+and the comparator evaluates both matrices separately on every state of
+the truncated box.
 """
 
 from itertools import product
@@ -155,7 +156,7 @@ def eval_entry(entry, slot_index, state, cutoff):
 
 def flatten(values):
     """eval_entry's output in the {(xdeg, ydeg, q_exp, t_exp): int} layout
-    of macprod.lattice.eval_entry."""
+    of macprod.lattice._at."""
     return {st: {(x, y, qe, te): v
                  for (x, y), c in bucket.items()
                  for (qe, te), v in laurent(c).items()}

@@ -112,10 +112,11 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "eigen", "--lambda", "0,1")[0] == 0
     assert run(capsys, "verify", "recursion", "--lambda", "2,0,1")[0] == 0
     assert run(capsys, "verify", "oracle", "--lambda", "1,1")[0] == 0
-    for kind, cutoff in (("yba", 4), ("rll", 4), ("twist", 4), ("zf", 3)):
-        assert run(capsys, "verify", kind, "--rank", "4", "--cutoff",
+    for kind, rank, cutoff in (("yba", 4, 4), ("rll", 4, 4), ("twist", 4, 4),
+                               ("zf", 4, 3), ("zf", 5, 4), ("zf", 4, 6)):
+        assert run(capsys, "verify", kind, "--rank", str(rank), "--cutoff",
                    str(cutoff)) == (
-            0, f"verify {kind} rank=4 cutoff={cutoff}: pass\n", "")
+            0, f"verify {kind} rank={rank} cutoff={cutoff}: pass\n", "")
 
 
 def test_python_dash_m_runs_the_cli():

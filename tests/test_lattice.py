@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 import qtrat_fock as oracle
 from helpers import merge_family_one
 from macprod import lattice
+from macprod.cli import main
 from macprod.errors import CutoffTooSmall, InternalError
 from macprod.lattice import (OpMatrix, OpTerm, build_L, build_R, build_tildeL,
-                             entry_add, entry_mul, entry_scale, eval_entry,
+                             entry_add, entry_mul, entry_scale,
                              intertwining_mismatch, intertwining_sides,
                              matrices_first_mismatch, term, twist_term,
                              verify_intertwining, zf_components)
 from macprod.oscillator import LOWER, RAISE, kpow
 from macprod.qtfield import QTRat
-from qtrat_fock import fock_matrix, laurent
 
 T = {(0, 1): 1}
 T_MINUS_1 = {(0, 1): 1, (0, 0): -1}
@@ -118,27 +118,6 @@ def test_R_equal_arguments():
                 assert entries_same(R.entry(i, j), want)
 
 
-def test_eval_entry_matches_fock_matrix():
-    # the formal-entry evaluator and the dense truncation agree
-    cutoff = 5
-    word = (RAISE, kpow(), LOWER)
-    e = (term(factors=[((0, 2), word)]),)
-    dense = fock_matrix(word, cutoff)
-    idx = {(0, 2): 0}
-    for m in range(cutoff):
-        got = eval_entry(e, idx, (m,), cutoff)
-        want = {}
-        for mm in range(cutoff + 1):
-            v = dense.entry(mm, m)
-            if v:
-                want[(mm,)] = {(0, 0) + k: c for k, c in laurent(v).items()}
-        assert got == want
-    # scalar and degree bookkeeping
-    e2 = (term(T, xdeg=2, ydeg=1, factors=[((0, 2), (RAISE,))]),)
-    got = eval_entry(e2, idx, (1,), cutoff)
-    assert got == {(2,): {(2, 1, 0, 1): 1}}
-
-
 def test_intertwining_all_kinds():
     for kind in ("yba", "rll", "zf", "twist"):
         for r in (1, 2, 3):
@@ -204,38 +183,22 @@ def opterms(draw):
                 factors=[(s, draw(words)) for s in SLOTS])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans(),
-       st.integers(1, 5), st.data())
-def test_eval_entry_matches_qtrat_oracle(entry, cancel, cutoff, data):
-    # the Laurent evaluator against Q(q, t) arithmetic, on random words,
-    # states and cutoffs; cancel appends -1 times the first term
-    if cancel:
-        entry = entry + list(entry_scale(entry[:1], -1))
-    idx = {s: i for i, s in enumerate(SLOTS)}
-    state = tuple(data.draw(st.integers(0, cutoff)) for _ in SLOTS)
-    want = oracle.flatten(oracle.eval_entry(entry, idx, state, cutoff))
-    assert eval_entry(entry, idx, state, cutoff) == want
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans(),
-       st.integers(2, 5))
-def test_box_contraction_matches_qtrat_oracle(entry, cancel, cutoff):
-    # the contraction over every input state of the truncation at once,
-    # where terms merge across input prefixes, against the oracle one
-    # state at a time
+@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans())
+def test_box_contraction_matches_qtrat_oracle(entry, cancel):
+    # the contracted normal form, where terms merge across slots, read on
+    # every state of a box against Q(q, t) arithmetic one state at a time;
+    # cancel appends -1 times the first term.  The oracle's cutoff clears
+    # each state's occupation plus a word's raises (at most 4), so its
+    # truncation edge never bites
     if cancel:
         entry = entry + list(entry_scale(entry[:1], -1))
     idx = {s: i for i, s in enumerate(SLOTS)}
-    box = [range(cutoff + 1)] * len(SLOTS)
-    got = {}
-    groups = lattice._groups(entry, idx, len(SLOTS))
-    for (inp, out), c in lattice._contract(groups, box, cutoff).items():
-        got.setdefault(inp, {})[out] = c
-    for state in product(*box):
-        want = oracle.flatten(oracle.eval_entry(entry, idx, state, cutoff))
-        assert got.get(state, {}) == want, state
+    form = lattice._contract(lattice._groups(entry, idx, len(SLOTS)))
+    for state in product(range(4), repeat=len(SLOTS)):
+        want = oracle.flatten(oracle.eval_entry(entry, idx, state,
+                                                max(state) + 4))
+        assert lattice._at(form, state) == want, state
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -257,16 +220,28 @@ def test_mutation_located_as_by_oracle(kind, r, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["yba", "zf"])
-def test_mismatch_away_from_the_vacuum_located_as_by_oracle(kind):
-    # an extra lhs term that lowers every slot vanishes on each state with
-    # an empty slot, so the first failing state has no zero occupation
+def test_mismatch_away_from_the_vacuum_located_as_by_oracle(
+        kind, capsys, monkeypatch):
+    # an extra lhs term that lowers every slot `lowers` times vanishes on
+    # each state with an occupation below `lowers`, so the first failing
+    # state has every occupation equal to `lowers`.  Three lowers vanish
+    # on the whole cutoff-4 box: the search grows the box and reports what
+    # a cutoff-5 box does
     lhs, rhs = intertwining_sides(kind, 3)
     slots = sorted(lhs.slots() | rhs.slots())
     positions = sorted(lhs.entries)
     pos = positions[len(positions) // 2]
-    bad = OpMatrix(lhs.nrows, lhs.ncols, lhs.entries)
-    bad.set(*pos, lhs.entry(*pos)
-            + (term(xdeg=1, factors=[(s, (LOWER,)) for s in slots]),))
-    want = oracle.matrices_first_mismatch(bad, rhs, 4)
-    assert want == (pos, tuple(slots), (1,) * len(slots))
-    assert matrices_first_mismatch(bad, rhs, 4) == want
+    for lowers, box_cutoff in ((1, 4), (3, 5)):
+        bad = OpMatrix(lhs.nrows, lhs.ncols, lhs.entries)
+        bad.set(*pos, lhs.entry(*pos) + (term(xdeg=1, factors=[
+            (s, (LOWER,) * lowers) for s in slots]),))
+        want = oracle.matrices_first_mismatch(bad, rhs, box_cutoff)
+        assert want == (pos, tuple(slots), (lowers,) * len(slots))
+        assert matrices_first_mismatch(bad, rhs, 4) == want
+        monkeypatch.setattr(lattice, "intertwining_sides",
+                            lambda k, rank: (bad, rhs))
+        assert main(["verify", kind, "--rank", "3"]) == 1
+        assert capsys.readouterr() == (
+            f"verify {kind} rank=3 cutoff=4: FAIL\n",
+            f"  first mismatch at matrix position {pos}, "
+            f"in-state {dict(zip(slots, want[2]))}\n")

@@ -16,11 +16,10 @@ from macprod import clear_caches, matprod
 from macprod.errors import IndexOutOfRange, InternalError, LengthMismatch
 from macprod.hecke import eigen_check
 from macprod.matprod import (_ONE_F, _raw_sums, _transfers, compute_P,
-                             compute_f, expand_configurations,
-                             generating_trace, omega_norm, raw_trace_sum,
-                             recursion_prefactor, recursion_report,
-                             transfer_table, transition, verify_generating,
-                             verify_recursion)
+                             compute_f, expand_configurations, omega_norm,
+                             raw_trace_sum, recursion_prefactor,
+                             recursion_report, transfer_table, transition,
+                             verify_generating, verify_recursion)
 from macprod.xpoly import XPoly
 from product_walk import level_transfers, product_configurations
 from ref_field import Rat, q as Q, t as T
@@ -289,8 +288,6 @@ def test_compute_P_small():
 def test_generating_identity():
     assert verify_generating(1, 2)
     assert verify_generating(2, 2)
-    gt = generating_trace(1, 2)
-    assert set(gt) == {(0, 0), (1, 0), (1, 1)}
 
 
 def test_trace_cache_is_read_only(monkeypatch):

@@ -1,14 +1,18 @@
 """Oscillator traces: closed forms vs independent geometric-series oracles."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtrat_fock as oracle
 from helpers import bracket
 from macprod.errors import DivergentTrace, NotDyck
-from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, parse_word,
-                                psi_eval, trace_closed_form, walk, word_str)
+from macprod.oscillator import (LOWER, RAISE, dyck_map, kpow, normal_form,
+                                parse_word, psi_eval, trace_closed_form,
+                                word_str)
 from macprod.qtfield import QTRat
 from qtrat_fock import FockMatrix, delta_t_operator, fock_matrix
 from ref_field import Rat, q, t
@@ -70,36 +74,28 @@ def test_trace_divergent():
         trace_closed_form((LOWER, RAISE))
 
 
-def test_walk_factors():
-    h, f = walk((LOWER, RAISE), 2)
-    assert (h, f) == (2, {(0, 0): 1, (0, 3): -1})
-    h, f = walk((LOWER,), 0)
-    assert h is None and not f
-    h, f = walk((RAISE,), 4, cutoff=4)
-    assert h is None and not f
-    h, f = walk((kpow(2, 1), LOWER, kpow(0, 3)), 2)
-    assert (h, f) == (1, {(7, 2): 1, (7, 4): -1})
+ATOMS = (LOWER, RAISE, kpow(), kpow(0, 1), kpow(2, 1))
 
 
-def test_walk_matches_qtrat_oracle():
-    atoms = (LOWER, RAISE, kpow(), kpow(0, 1), kpow(2, 1))
-    rng = random.Random(7)
-    for _ in range(200):
-        word = tuple(rng.choice(atoms) for _ in range(rng.randrange(6)))
-        m = rng.randrange(5)
-        cutoff = rng.choice((None, 3, 4))
-        h, f = walk(word, m, cutoff)
-        oh, of = oracle.walk(word, m, cutoff)
-        assert h == oh
-        assert (not f) if h is None else f == oracle.laurent(of)
-
-
-def test_walk_cache_is_read_only():
-    word = (LOWER, kpow(1, 1))
-    h, f = walk(word, 3)
-    with pytest.raises(TypeError):
-        f[(0, 0)] = 5
-    assert walk(word, 3) == (h, f)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ATOMS), max_size=6).map(tuple))
+def test_walk_matches_qtrat_oracle(word):
+    # <m+d|word|m> read off the one symbolic walk, normal_form, against
+    # the oracle's walk of the word from |m>; a walk below occupation
+    # zero reads 0
+    d, coeffs = normal_form(word)
+    for m in range(13):
+        got = {}
+        for (alpha, beta), c in coeffs.items():
+            for (qe, te), v in c.items():
+                k = (qe + beta * m, te + alpha * m)
+                got[k] = got.get(k, 0) + v
+        got = {k: v for k, v in got.items() if v}
+        h, f = oracle.walk(word, m)
+        if h is None:
+            assert not got
+        else:
+            assert (h, got) == (m + d, oracle.laurent(f))
 
 
 def test_fock_matrix_relations():
@@ -134,8 +130,10 @@ def test_parse_and_print():
     w = parse_word("a A k k^(2,1)")
     assert w == (LOWER, RAISE, kpow(), kpow(2, 1))
     assert word_str(w) == "a A k k^(2,1)"
-    with pytest.raises(ValueError):
-        parse_word("b")
+    for bad in ("b", "k^(1,)", "k^(1,2,3)", "k^(x,1)"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown oscillator token {bad!r}")):
+            parse_word(bad)
 
 
 def test_dyck_map_frozen():
