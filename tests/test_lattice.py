@@ -16,6 +16,7 @@ from macprod.lattice import (OpMatrix, OpTerm, build_L, build_R, build_tildeL,
                              verify_intertwining, zf_components)
 from macprod.oscillator import LOWER, RAISE, kpow
 from macprod.qtfield import QTRat
+from qtrat_fock import fock_matrix, laurent
 
 T = {(0, 1): 1}
 T_MINUS_1 = {(0, 1): 1, (0, 0): -1}
@@ -118,6 +119,28 @@ def test_R_equal_arguments():
                 assert entries_same(R.entry(i, j), want)
 
 
+def test_eval_entry_matches_fock_matrix():
+    # the contracted normal form read on each state and the dense
+    # truncation agree
+    cutoff = 5
+    word = (RAISE, kpow(), LOWER)
+    e = (term(factors=[((0, 2), word)]),)
+    dense = fock_matrix(word, cutoff)
+    idx = {(0, 2): 0}
+    form = lattice._contract(lattice._groups(e, idx, 1))
+    for m in range(cutoff):
+        want = {}
+        for mm in range(cutoff + 1):
+            v = dense.entry(mm, m)
+            if v:
+                want[(mm,)] = {(0, 0) + k: c for k, c in laurent(v).items()}
+        assert lattice._at(form, (m,)) == want
+    # scalar and degree bookkeeping
+    e2 = (term(T, xdeg=2, ydeg=1, factors=[((0, 2), (RAISE,))]),)
+    form = lattice._contract(lattice._groups(e2, idx, 1))
+    assert lattice._at(form, (1,)) == {(2,): {(2, 1, 0, 1): 1}}
+
+
 def test_intertwining_all_kinds():
     for kind in ("yba", "rll", "zf", "twist"):
         for r in (1, 2, 3):
@@ -199,6 +222,22 @@ def test_box_contraction_matches_qtrat_oracle(entry, cancel):
         want = oracle.flatten(oracle.eval_entry(entry, idx, state,
                                                 max(state) + 4))
         assert lattice._at(form, state) == want, state
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(opterms(), min_size=1, max_size=4), st.booleans(),
+       st.lists(st.integers(0, 12), min_size=len(SLOTS), max_size=len(SLOTS)))
+def test_eval_entry_matches_qtrat_oracle(entry, cancel, state):
+    # the contracted normal form read on one state, far from the vacuum
+    # as well, against Q(q, t) arithmetic; the oracle's cutoff clears the
+    # state's occupation plus a word's raises (at most 4)
+    if cancel:
+        entry = entry + list(entry_scale(entry[:1], -1))
+    idx = {s: i for i, s in enumerate(SLOTS)}
+    state = tuple(state)
+    form = lattice._contract(lattice._groups(entry, idx, len(SLOTS)))
+    want = oracle.flatten(oracle.eval_entry(entry, idx, state, max(state) + 4))
+    assert lattice._at(form, state) == want
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -74,6 +74,31 @@ def test_trace_divergent():
         trace_closed_form((LOWER, RAISE))
 
 
+def read(word, m):
+    # <m+d|word|m> from normal_form, as (m + d, {(q_exp, t_exp): int}),
+    # or (None, {}) when it vanishes on |m>
+    d, coeffs = normal_form(word)
+    got = {}
+    for (alpha, beta), c in coeffs.items():
+        for (qe, te), v in c.items():
+            k = (qe + beta * m, te + alpha * m)
+            got[k] = got.get(k, 0) + v
+    got = {k: v for k, v in got.items() if v}
+    return (m + d, got) if got else (None, {})
+
+
+def test_walk_factors():
+    assert normal_form((LOWER, RAISE)) == (
+        0, {(0, 0): {(0, 0): 1}, (1, 0): {(0, 1): -1}})
+    assert read((LOWER, RAISE), 2) == (2, {(0, 0): 1, (0, 3): -1})
+    # a|0> = 0: the (1 - t^m) factor dies at m = 0
+    assert read((LOWER,), 0) == (None, {})
+    assert read((LOWER,), 3) == (2, {(0, 0): 1, (0, 3): -1})
+    assert normal_form((RAISE,)) == (1, {(0, 0): {(0, 0): 1}})
+    assert read((kpow(2, 1), LOWER, kpow(0, 3)), 2) == (
+        1, {(7, 2): 1, (7, 4): -1})
+
+
 ATOMS = (LOWER, RAISE, kpow(), kpow(0, 1), kpow(2, 1))
 
 
@@ -83,19 +108,10 @@ def test_walk_matches_qtrat_oracle(word):
     # <m+d|word|m> read off the one symbolic walk, normal_form, against
     # the oracle's walk of the word from |m>; a walk below occupation
     # zero reads 0
-    d, coeffs = normal_form(word)
     for m in range(13):
-        got = {}
-        for (alpha, beta), c in coeffs.items():
-            for (qe, te), v in c.items():
-                k = (qe + beta * m, te + alpha * m)
-                got[k] = got.get(k, 0) + v
-        got = {k: v for k, v in got.items() if v}
         h, f = oracle.walk(word, m)
-        if h is None:
-            assert not got
-        else:
-            assert (h, got) == (m + d, oracle.laurent(f))
+        assert read(word, m) == ((None, {}) if h is None
+                                 else (h, oracle.laurent(f)))
 
 
 def test_fock_matrix_relations():
