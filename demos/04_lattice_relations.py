@@ -14,7 +14,7 @@ from macprod.lattice import build_R, intertwining_mismatch
 # unitarity of the rank-2 R-matrix, in cleared form
 R = build_R(2)
 print("R(x,y) acts on pairs of colours; nonzero entries:",
-      sorted(R.entries), "\n")
+      sorted(R), "\n")
 
 for kind, what in (("yba", "R LL = LL R on the full lattice"),
                    ("rll", "R tL tL = tL tL R' across one trivialized row"),

@@ -1,10 +1,14 @@
 """Vertex-model layer: R-matrix, oscillator-valued L-matrices, products.
 
-Operator matrices hold formal sums of terms (x-degree, y-degree, scalar,
-oscillator factors).  Factors are keyed by a slot (space, family): rank-r
-single matrices use space 0 and families 1..r; nested column products use
-space = level.  Distinct slots commute; within one slot the atom tuple is
-an ordered word, leftmost applied last, exactly as in the trace engine.
+An operator entry is a formal sum grouped by word,
+{factors: {(xdeg, ydeg, q_exp, t_exp): int}}.  factors is a sorted tuple
+of (slot, atoms) pairs with nonempty atoms, and a slot is a (space,
+family) Fock factor: rank-r single matrices use space 0 and families
+1..r; nested column products use space = level.  Distinct slots commute;
+within one slot the atom tuple is an ordered word, leftmost applied
+last, exactly as in the trace engine.  A matrix is a dict
+{(row, col): entry} of its nonzero entries.  A product multiplies word by
+word into one accumulator and drops zero coefficients once per entry.
 
 The rational R-matrix entries b+- = t(x-y)/(tx-y), (x-y)/(tx-y) and
 c+- = y(t-1)/(tx-y), x(t-1)/(tx-y) are stored cleared of the common
@@ -13,41 +17,32 @@ in x, y between operators on the Fock space.
 
 Every scalar here lies in Z[q^+-1, t^+-1]: the R entries are t, -1 and
 t - 1, the twist contributes powers of q, and the Fock action only
-multiplies by 1 - t^m and monomials.  Scalars are therefore Laurent dicts
-{(q_exp, t_exp): int}, as in xpoly.XNum, and the whole comparison runs on
-integer arithmetic with no division and no gcd.
+multiplies by 1 - t^m and monomials.  Coefficients are therefore Laurent
+in q, t, as in xpoly.XNum, and the whole comparison runs on integer
+arithmetic with no division and no gcd.
 
-A relation is checked on every Fock state at once.  Each matrix position
-takes the formal difference of the two sides, merges its terms that carry
-the same word on every slot, and contracts it one slot at a time to a
-normal form: per slot, the output shift d and the exponents (alpha, beta)
-of (t^m)^alpha (q^m)^beta in the input occupation m, as
-oscillator.normal_form gives them.  The relation holds exactly when
-every normal form is empty.  A failure is located on the truncated box
-of input states whose occupations are all at most cutoff-2, grown until
-a state fails; the counterexample reported is the least failing state in
-itertools.product order.
+A relation is checked on every Fock state at once, one output matrix
+position at a time: only the leaves (L, tL, or the column components A)
+stay alive, and each position of both sides is built from them when it
+is reached.  Its formal difference, each word aligned to the slots, is
+contracted one slot at a time to a normal form: per slot, the output
+shift d and the exponents (alpha, beta) of (t^m)^alpha (q^m)^beta in the
+input occupation m, as oscillator.normal_form gives them.  The relation
+holds exactly when every normal form is empty.  A failure is located on
+the truncated box of input states whose occupations are all at most
+cutoff-2, grown until a state fails; the counterexample reported is the
+least failing state in itertools.product order.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple
 
 from .errors import CutoffTooSmall, IndexOutOfRange, InternalError
 from .oscillator import LOWER, RAISE, kpow, normal_form
-from .qtfield import _ONE_D, _dict_iadd, _dict_mul, _dict_neg
+from .qtfield import _ONE_D
 
-_T = {(0, 1): 1}
-_MINUS_T = {(0, 1): -1}
-_T_MINUS_1 = {(0, 1): 1, (0, 0): -1}
-
-
-class OpTerm(NamedTuple):
-    xdeg: int
-    ydeg: int
-    scalar: dict    # Laurent dict {(q_exp, t_exp): int}, never mutated
-    factors: tuple  # sorted ((space, family), atoms) pairs
+_CLEARED = {(): {(1, 0, 0, 1): 1, (0, 1, 0, 0): -1}}  # t x - y
 
 
 def _laurent(c):
@@ -61,117 +56,63 @@ def _laurent(c):
 
 
 def term(scalar=1, xdeg=0, ydeg=0, factors=()):
-    return OpTerm(xdeg, ydeg, _laurent(scalar),
-                  tuple(sorted((slot, tuple(atoms))
-                               for slot, atoms in factors if atoms)))
+    """One word times scalar x^xdeg y^ydeg, as an entry."""
+    coeff = {(xdeg, ydeg) + k: v for k, v in _laurent(scalar).items()}
+    if not coeff:
+        return {}
+    return {tuple(sorted((slot, tuple(atoms)) for slot, atoms in factors
+                         if atoms)): coeff}
 
 
-def term_mul(t1, t2):
-    """Operator product t1 * t2 (t1 applied last).  A unit scalar on
-    either side reuses the other scalar: scalars are never mutated."""
-    if not t2.factors:
-        factors = t1.factors
-    elif not t1.factors:
-        factors = t2.factors
-    else:
-        merged = dict(t1.factors)
-        for slot, atoms in t2.factors:
-            merged[slot] = merged.get(slot, ()) + atoms
-        factors = tuple(sorted(merged.items()))
-    s1, s2 = t1.scalar, t2.scalar
-    scalar = s2 if s1 == _ONE_D else s1 if s2 == _ONE_D else _dict_mul(s1, s2)
-    return OpTerm(t1.xdeg + t2.xdeg, t1.ydeg + t2.ydeg, scalar, factors)
+def _join(w1, w2):
+    """The word of an operator product: on each slot, w1's atoms, applied
+    last, before w2's."""
+    if not w2:
+        return w1
+    if not w1:
+        return w2
+    merged = dict(w1)
+    for slot, atoms in w2:
+        merged[slot] = merged.get(slot, ()) + atoms
+    return tuple(sorted(merged.items()))
 
 
-def _collect(terms):
-    """Merge terms with equal (xdeg, ydeg, factors); drop zero scalars."""
-    acc = {}
-    for t in terms:
-        key = (t.xdeg, t.ydeg, t.factors)
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = dict(t.scalar)
-        else:
-            _dict_iadd(cur, t.scalar)
-    return tuple(OpTerm(x, y, s, f) for (x, y, f), s in acc.items() if s)
+def _mul_into(acc, e1, e2):
+    """acc += e1 * e2 (e1 applied last), word by word; zero coefficients
+    stay until _nonzero."""
+    for w1, c1 in e1.items():
+        for w2, c2 in e2.items():
+            out = acc.setdefault(_join(w1, w2), {})
+            for (x1, y1, q1, t1), v1 in c1.items():
+                for (x2, y2, q2, t2), v2 in c2.items():
+                    k = (x1 + x2, y1 + y2, q1 + q2, t1 + t2)
+                    out[k] = out.get(k, 0) + v1 * v2
+    return acc
 
 
-def entry_add(*entries):
-    return _collect(t for e in entries for t in e)
+def _nonzero(acc):
+    """An accumulated entry with its zero coefficients, and then its empty
+    words, dropped."""
+    out = {}
+    for w, c in acc.items():
+        c = {k: v for k, v in c.items() if v}
+        if c:
+            out[w] = c
+    return out
 
 
-def entry_mul(e1, e2):
-    return _collect(term_mul(t1, t2) for t1 in e1 for t2 in e2)
+def _mul(e1, e2):
+    return _nonzero(_mul_into({}, e1, e2))
 
 
-def entry_scale(e, c):
-    c = _laurent(c)
-    return tuple(OpTerm(t.xdeg, t.ydeg, _dict_mul(t.scalar, c), t.factors)
-                 for t in e)
+def _swap_xy(m):
+    """A matrix with x and y exchanged in every entry."""
+    return {pos: {w: {(y, x, q, t): v for (x, y, q, t), v in c.items()}
+                  for w, c in e.items()} for pos, e in m.items()}
 
 
-class OpMatrix:
-    """Sparse matrix of formal operator entries."""
-
-    __slots__ = ("nrows", "ncols", "entries")
-
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = dict(entries) if entries else {}
-
-    def set(self, i, j, entry):
-        if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
-            raise IndexOutOfRange(f"({i},{j}) outside {self.nrows}x{self.ncols}")
-        if entry:
-            self.entries[(i, j)] = tuple(entry)
-        else:
-            self.entries.pop((i, j), None)
-
-    def entry(self, i, j):
-        return self.entries.get((i, j), ())
-
-    def __mul__(self, other):
-        if self.ncols != other.nrows:
-            raise IndexOutOfRange("matrix shape mismatch")
-        out = OpMatrix(self.nrows, other.ncols)
-        by_row = {}
-        for (i, k), e in self.entries.items():
-            by_row.setdefault(i, []).append((k, e))
-        by_col = {}
-        for (k, j), e in other.entries.items():
-            by_col.setdefault(k, []).append((j, e))
-        for i, row in by_row.items():
-            acc = {}
-            for k, e1 in row:
-                for j, e2 in by_col.get(k, ()):
-                    p = entry_mul(e1, e2)
-                    if p:
-                        acc[j] = entry_add(acc[j], p) if j in acc else p
-            for j, e in acc.items():
-                if e:
-                    out.entries[(i, j)] = e
-        return out
-
-    def map_terms(self, fn):
-        out = OpMatrix(self.nrows, self.ncols)
-        for pos, e in self.entries.items():
-            ne = entry_add(tuple(fn(t) for t in e))
-            if ne:
-                out.entries[pos] = ne
-        return out
-
-    def swap_xy(self):
-        return self.map_terms(
-            lambda t: OpTerm(t.ydeg, t.xdeg, t.scalar, t.factors))
-
-    def slots(self):
-        out = set()
-        for e in self.entries.values():
-            for t in e:
-                for slot, _ in t.factors:
-                    out.add(slot)
-        return out
+def _slots(entries):
+    return sorted({slot for e in entries for w in e for slot, _ in w})
 
 
 #### builders
@@ -183,19 +124,18 @@ def _pair(i, j, width):
 def build_R(r):
     """Cleared R-matrix: (tx-y) R~(x, y) on the (r+1)^2 basis of pairs."""
     w = r + 1
-    m = OpMatrix(w * w, w * w)
-    diag = (term(_T, xdeg=1), term(-1, ydeg=1))              # t x - y
-    b_plus = (term(_T, xdeg=1), term(_MINUS_T, ydeg=1))      # t (x - y)
-    b_minus = (term(xdeg=1), term(-1, ydeg=1))               # x - y
-    c_plus = (term(_T_MINUS_1, ydeg=1),)                     # y (t - 1)
-    c_minus = (term(_T_MINUS_1, xdeg=1),)                    # x (t - 1)
+    b_plus = {(): {(1, 0, 0, 1): 1, (0, 1, 0, 1): -1}}    # t (x - y)
+    b_minus = {(): {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}}   # x - y
+    c_plus = {(): {(0, 1, 0, 1): 1, (0, 1, 0, 0): -1}}    # y (t - 1)
+    c_minus = {(): {(1, 0, 0, 1): 1, (1, 0, 0, 0): -1}}   # x (t - 1)
+    m = {}
     for i in range(w):
-        m.set(_pair(i, i, w), _pair(i, i, w), diag)
+        m[_pair(i, i, w), _pair(i, i, w)] = _CLEARED
         for j in range(i + 1, w):
-            m.set(_pair(i, j, w), _pair(i, j, w), c_minus)
-            m.set(_pair(i, j, w), _pair(j, i, w), b_plus)
-            m.set(_pair(j, i, w), _pair(i, j, w), b_minus)
-            m.set(_pair(j, i, w), _pair(j, i, w), c_plus)
+            m[_pair(i, j, w), _pair(i, j, w)] = c_minus
+            m[_pair(i, j, w), _pair(j, i, w)] = b_plus
+            m[_pair(j, i, w), _pair(i, j, w)] = b_minus
+            m[_pair(j, i, w), _pair(j, i, w)] = c_plus
     return m
 
 
@@ -206,17 +146,16 @@ def _ktail(space, lo, r):
 
 def build_L(r, space=0):
     """(r+1) x (r+1) oscillator-valued L with families 1..r."""
-    m = OpMatrix(r + 1, r + 1)
-    m.set(0, 0, (term(),))
+    m = {(0, 0): term()}
     for j in range(1, r + 1):
-        m.set(0, j, (term(factors=[((space, j), (LOWER,))]),))
+        m[0, j] = term(factors=[((space, j), (LOWER,))])
     for i in range(1, r + 1):
         tail = _ktail(space, i + 1, r)
-        m.set(i, 0, (term(xdeg=1, factors=[((space, i), (RAISE,))] + tail),))
-        m.set(i, i, (term(xdeg=1, factors=tail),))
+        m[i, 0] = term(xdeg=1, factors=[((space, i), (RAISE,))] + tail)
+        m[i, i] = term(xdeg=1, factors=tail)
         for j in range(1, i):
-            m.set(i, j, (term(xdeg=1, factors=[((space, j), (LOWER,)),
-                                               ((space, i), (RAISE,))] + tail),))
+            m[i, j] = term(xdeg=1, factors=[((space, j), (LOWER,)),
+                                            ((space, i), (RAISE,))] + tail)
     return m
 
 
@@ -229,51 +168,58 @@ def build_tildeL(r, space=0):
     (0, 2, 3, .., r).
     """
     frozen = (space, 1)
-    m = OpMatrix(r + 1, r)
-    for (i, j), e in build_L(r, space).entries.items():
-        if j != 1:
-            m.set(i, j - (j > 1), tuple(
-                t._replace(factors=tuple(f for f in t.factors
-                                         if f[0] != frozen)) for t in e))
-    return m
+    return {(i, j - (j > 1)): {tuple(f for f in w if f[0] != frozen): c
+                               for w, c in e.items()}
+            for (i, j), e in build_L(r, space).items() if j != 1}
 
 
 def zf_components(r):
     """Nested column product: components A_0..A_r of tildeL^(r)...tildeL^(1),
-    level j acting on space j."""
-    mat = build_tildeL(r, space=r)
-    for j in range(r - 1, 0, -1):
-        mat = mat * build_tildeL(j, space=j)
-    return tuple(mat.entry(i, 0) for i in range(r + 1))
+    level j acting on space j.  Only the column is built: the unit column
+    is multiplied on the left by tildeL^(1), .., tildeL^(r) in turn."""
+    col = [term()]
+    for j in range(1, r + 1):
+        tl = build_tildeL(j, space=j)
+        nxt = []
+        for i in range(j + 1):
+            acc = {}
+            for k, e in enumerate(col):
+                if (i, k) in tl:
+                    _mul_into(acc, tl[i, k], e)
+            nxt.append(_nonzero(acc))
+        col = nxt
+    return tuple(col)
 
 
 def twist_term(r, space=None):
-    """Diagonal twist q^((f-1) m_f) on families 2..r of one space; without
-    a space, the nested layout: the union of the twists of levels 1..r,
-    level j on space j."""
-    if space is None:
-        return term(factors=[fac for j in range(1, r + 1)
-                             for fac in twist_term(j, space=j).factors])
-    return term(factors=[((space, f), (kpow(0, f - 1),))
-                         for f in range(2, r + 1)])
+    """Diagonal twist q^((f-1) m_f) on families 2..r of one space, as a
+    one-word entry; without a space, the nested layout: the product of
+    the twists of levels 1..r, level j on space j."""
+    levels = [(j, j) for j in range(1, r + 1)] if space is None else \
+        [(space, r)]
+    return term(factors=[((s, f), (kpow(0, f - 1),))
+                         for s, j in levels for f in range(2, j + 1)])
 
 
 #### normal-form comparison
 
-def _groups(terms, slot_index, n):
-    """Merge the terms that carry the same word on every slot.
+def _difference(lhs, rhs, index):
+    """lhs - rhs with each word aligned to the slots.
 
     Returns {words: {(xdeg, ydeg, q_exp, t_exp): int}}, words being a
-    tuple of n atom tuples aligned with slot_index (a dict slot ->
+    tuple with one atom tuple per slot of index (a dict slot ->
     position); zero coefficients and empty groups are dropped."""
     out = {}
-    for t in terms:
-        words = [()] * n
-        for slot, atoms in t.factors:
-            words[slot_index[slot]] = atoms
-        _dict_iadd(out.setdefault(tuple(words), {}),
-                   {(t.xdeg, t.ydeg) + k: v for k, v in t.scalar.items()})
-    return {w: c for w, c in out.items() if c}
+    for sign, entry in ((1, lhs), (-1, rhs)):
+        for w, coeff in entry.items():
+            words = [()] * len(index)
+            for slot, atoms in w:
+                words[index[slot]] = atoms
+            acc = out.setdefault(tuple(words), {})
+            for k, v in coeff.items():
+                acc[k] = acc.get(k, 0) + sign * v
+    return {w: c for w, acc in out.items()
+            if (c := {k: v for k, v in acc.items() if v})}
 
 
 def _contract(groups):
@@ -350,30 +296,29 @@ def _at(form, state):
             if (c := {k: v for k, v in acc.items() if v})}
 
 
-def matrices_first_mismatch(m1, m2, cutoff):
+def matrices_first_mismatch(slots, sides, cutoff):
     """First disagreeing matrix element, as (position, slots, state), or
-    None when the two matrices agree on every Fock state.
+    None when the two sides agree on every Fock state.
 
-    Evaluation is linear in the entry, so each position contracts the
-    formal difference of its two entries to a normal form, which is empty
-    exactly when both sides agree on every state.  A failure is located
-    as a truncated box would see it: the first failing position, and in
-    it the first failing state in itertools.product order, over the
-    occupations up to cutoff-2.  While no position fails there, the box
-    grows by one occupation per slot.  By a Vandermonde argument a
-    nonzero normal form fails on the box of side its largest count of
-    distinct (alpha, beta) on one slot, so the search ends there."""
+    sides yields (position, lhs, rhs) in sorted order of position, each
+    word on the given sorted slots.  Evaluation is linear in the entry,
+    so each position contracts the formal difference of its two entries
+    to a normal form, which is empty exactly when both sides agree on
+    every state; only the forms of failing positions are kept.  A failure
+    is located as a truncated box would see it: the first failing
+    position, and in it the first failing state in itertools.product
+    order, over the occupations up to cutoff-2.  While no position fails
+    there, the box grows by one occupation per slot.  By a Vandermonde
+    argument a nonzero normal form fails on the box of side its largest
+    count of distinct (alpha, beta) on one slot, and slot by slot the
+    least failing state of any larger box lies in that one, so the box
+    never grows past that side, nor starts beyond it."""
     if cutoff < 2:
         raise CutoffTooSmall("need cutoff >= 2 for the comparison margin")
-    if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
-        return ((), (), ())
-    slots = sorted(m1.slots() | m2.slots())
-    slot_index = {s: i for i, s in enumerate(slots)}
+    index = {s: i for i, s in enumerate(slots)}
     failing = []
-    for pos in sorted(set(m1.entries) | set(m2.entries)):
-        diff = m1.entry(*pos) + tuple(t._replace(scalar=_dict_neg(t.scalar))
-                                      for t in m2.entry(*pos))
-        form = _contract(_groups(diff, slot_index, len(slots)))
+    for pos, lhs, rhs in sides:
+        form = _contract(_difference(lhs, rhs, index))
         if form:
             failing.append((pos, form))
     if not failing:
@@ -381,7 +326,7 @@ def matrices_first_mismatch(m1, m2, cutoff):
     bound = max((len({key[i + 1:i + 3] for key in form})
                  for _, form in failing for i in range(0, 3 * len(slots), 3)),
                 default=1)
-    for side in range(cutoff - 1, max(cutoff - 1, bound) + 1):
+    for side in range(min(cutoff - 1, bound), bound + 1):
         for pos, form in failing:
             for state in product(range(side), repeat=len(slots)):
                 if _at(form, state):
@@ -390,59 +335,81 @@ def matrices_first_mismatch(m1, m2, cutoff):
                         f"vanishes on the box of side {bound}")
 
 
-def _kron_prod(A, B):
-    """[(i,j),(k,l)] -> A[i,k] * B[j,l] (operator product, A applied last)."""
-    out = OpMatrix(A.nrows * B.nrows, A.ncols * B.ncols)
-    for (i, k), e1 in A.entries.items():
-        for (j, l), e2 in B.entries.items():
-            p = entry_mul(e1, e2)
-            if p:
-                out.entries[(i * B.nrows + j, k * B.ncols + l)] = p
-    return out
+def _exchange(R, X, Y, R2, nrows, ncols):
+    """(position, lhs, rhs) of lhs = R (X o Y) and rhs = (Y o X) R2, at
+    each position where a side is nonzero, in sorted order.
+
+    X and Y are nrows x ncols, and (X o Y)[(i, j), (k, l)] =
+    X[i, k] Y[j, l] with X applied last.  Every row of R and column of R2
+    has at most two entries, so a position multiplies at most two pairs
+    of leaf entries into each side, and no product matrix is built."""
+    rows, cols = {}, {}
+    for (p, k), e in R.items():
+        rows.setdefault(p, []).append((k, e))
+    for (k, c), e in R2.items():
+        cols.setdefault(c, []).append((k, e))
+    for p in range(nrows * nrows):
+        p1, p2 = divmod(p, nrows)
+        for c in range(ncols * ncols):
+            c1, c2 = divmod(c, ncols)
+            lhs, rhs = {}, {}
+            for k, e in rows.get(p, ()):
+                k1, k2 = divmod(k, nrows)
+                x, y = X.get((k1, c1)), Y.get((k2, c2))
+                if x and y:
+                    _mul_into(lhs, _mul_into({}, e, x), y)
+            for k, e in cols.get(c, ()):
+                k1, k2 = divmod(k, ncols)
+                y, x = Y.get((p1, k1)), X.get((p2, k2))
+                if x and y:
+                    _mul_into(rhs, y, _mul_into({}, x, e))
+            lhs, rhs = _nonzero(lhs), _nonzero(rhs)
+            if lhs or rhs:
+                yield (p, c), lhs, rhs
+
+
+def _twisted(comps, S):
+    """(position, S A_i(qx), q^i A_i(x) S) for each component A_i."""
+    for i, e in enumerate(comps):
+        shifted = {w: {(x, y, q + x, t): v for (x, y, q, t), v in c.items()}
+                   for w, c in e.items()}
+        lhs = _mul(S, shifted)
+        rhs = _mul(e, {w: {(0, 0, i, 0): 1} for w in S})
+        if lhs or rhs:
+            yield (i, 0), lhs, rhs
 
 
 def intertwining_sides(kind, r):
-    """Left and right sides of an exchange relation, as operator matrices.
+    """The two sides of an exchange relation, one matrix position at a
+    time.
 
     kind: "yba"   R(x,y) L(x)oL(y) = L(y)oL(x) R(x,y), full rank-r L
           "rll"   R^(r)(x,y) tL(x)otL(y) = tL(y)otL(x) R^(r-1)(x,y)
           "zf"    R(x,y) A(x)oA(y) = A(y)oA(x) (nested column product)
           "twist" S A_i(qx) = q^i A_i(x) S componentwise
 
-    Both sides are cleared of the (tx - y) denominator."""
+    Returns (slots, sides): the sorted slots the leaves act on, and an
+    iterator of (position, lhs, rhs) over the positions where a side is
+    nonzero, in sorted order, each built from the leaves when it is
+    reached.  Both sides are cleared of the (tx - y) denominator."""
     if r < 1:
         raise IndexOutOfRange("rank must be >= 1")
     if kind == "yba":
         L = build_L(r)
-        R = build_R(r)
-        return R * _kron_prod(L, L.swap_xy()), _kron_prod(L.swap_xy(), L) * R
+        return _slots(L.values()), _exchange(build_R(r), L, _swap_xy(L),
+                                             build_R(r), r + 1, r + 1)
     if kind == "rll":
         tL = build_tildeL(r)
-        lhs = build_R(r) * _kron_prod(tL, tL.swap_xy())
-        rhs = _kron_prod(tL.swap_xy(), tL) * build_R(r - 1)
-        return lhs, rhs
+        return _slots(tL.values()), _exchange(build_R(r), tL, _swap_xy(tL),
+                                              build_R(r - 1), r + 1, r)
     if kind == "zf":
-        comps = zf_components(r)
-        A = OpMatrix(r + 1, 1, {(i, 0): e for i, e in enumerate(comps) if e})
-        lhs = build_R(r) * _kron_prod(A, A.swap_xy())
-        cleared = (term(_T, xdeg=1), term(-1, ydeg=1))
-        rhs = _kron_prod(A.swap_xy(), A)
-        for pos in list(rhs.entries):
-            rhs.entries[pos] = entry_mul(cleared, rhs.entries[pos])
-        return lhs, rhs
+        A = {(i, 0): e for i, e in enumerate(zf_components(r)) if e}
+        return _slots(A.values()), _exchange(build_R(r), A, _swap_xy(A),
+                                             {(0, 0): _CLEARED}, r + 1, 1)
     if kind == "twist":
         comps = zf_components(r)
-        S = (twist_term(r),)
-        lhs = OpMatrix(r + 1, 1)
-        rhs = OpMatrix(r + 1, 1)
-        for i, e in enumerate(comps):
-            shifted = tuple(OpTerm(t.xdeg, t.ydeg,
-                                   {(qe + t.xdeg, te): v
-                                    for (qe, te), v in t.scalar.items()},
-                                   t.factors) for t in e)
-            lhs.set(i, 0, entry_mul(S, shifted))
-            rhs.set(i, 0, entry_scale(entry_mul(e, S), {(i, 0): 1}))
-        return lhs, rhs
+        S = twist_term(r)
+        return _slots(comps + (S,)), _twisted(comps, S)
     raise ValueError(f"unknown intertwining kind {kind!r}")
 
 
@@ -450,8 +417,8 @@ def intertwining_mismatch(kind, r, cutoff=4):
     """None when the relation holds on every Fock state; else the first
     disagreeing (matrix position, slot layout, input state), looked for
     first among the occupations up to cutoff-2 (matrices_first_mismatch)."""
-    lhs, rhs = intertwining_sides(kind, r)
-    return matrices_first_mismatch(lhs, rhs, cutoff)
+    slots, sides = intertwining_sides(kind, r)
+    return matrices_first_mismatch(slots, sides, cutoff)
 
 
 def verify_intertwining(kind, r, cutoff=4):

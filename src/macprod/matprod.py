@@ -2,19 +2,20 @@
 
 The nested column product A(x) = tL^(r)(x) .. tL^(1)(x) is enumerated one
 level at a time.  A level-j transfer from mu to nu picks, in variable x_i,
-the entry of tL^(j) in row mu_i and column nu_i < j; the level operator is
+the entry of tL^(j) in row mu_i and column nu_i < j, one word with
+coefficient 1 or x_i in lattice's grouped layout; the level operator is
 the product of those entries followed by the level-j twist (lattice's
-twist_term), and its weight is the product of the traces of its family
-words: the atoms the rows take from tL^(j) on that family, in row order,
-then the twist atom.  Family f (2 <= f <= j) is raised once by each row
-with mu_i = f that leaves the diagonal column f-1 and lowered once by
-each row that lands in column f-1 from another part, so every family
-balances exactly when nu is a rearrangement of star(mu); an unbalanced
-family traces to zero.  So only these transfers are generated: a walk
-over the rows takes a column only while star(mu) still owes it, and no
-other row combination is visited.  A configuration (one lattice path
-nu_r = part, .., nu_0 = 0 per row) is a chain of transfers down to rank
-0, with the product of the level weights as its weight.
+twist_term, a one-word entry), and its weight is the product of the traces
+of its family words: the atoms the rows take from tL^(j) on that family,
+in row order, then the twist atom.  Family f (2 <= f <= j) is raised once
+by each row with mu_i = f that leaves the diagonal column f-1 and lowered
+once by each row that lands in column f-1 from another part, so every
+family balances exactly when nu is a rearrangement of star(mu); an
+unbalanced family traces to zero.  So only these transfers are generated:
+a walk over the rows takes a column only while star(mu) still owes it, and
+no other row combination is visited.  A configuration (one lattice path
+nu_r = part, .., nu_0 = 0 per row) is a chain of transfers down to rank 0,
+with the product of the level weights as its weight.
 
 Every public entry point passes its input through one gate, _rank: the
 composition is checked, the rank defaults to the largest part, and a part
@@ -82,11 +83,14 @@ def _level(r):
     2..r, empty or one atom; twist holds each family's twist atom."""
     rows = [{} for _ in range(r + 1)]
     if r:  # tL^(0) has no column
-        for (part, col), e in sorted(build_tildeL(r, space=r).entries.items()):
-            words = dict(e[0].factors)
-            rows[part][col] = (e[0].xdeg, tuple(words.get((r, f), ())
-                                                for f in range(2, r + 1)))
-    twist = tuple(atoms for _, atoms in twist_term(r, space=r).factors)
+        for (part, col), e in sorted(build_tildeL(r, space=r).items()):
+            (w, coeff), = e.items()
+            (xdeg, _, _, _), = coeff
+            words = dict(w)
+            rows[part][col] = (xdeg, tuple(words.get((r, f), ())
+                                           for f in range(2, r + 1)))
+    (w, _), = twist_term(r, space=r).items()
+    twist = tuple(atoms for _, atoms in w)
     return tuple(map(MappingProxyType, rows)), twist
 
 

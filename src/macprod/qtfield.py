@@ -396,15 +396,18 @@ def specialize(r, q=None, t=None):
     or the name of the other variable ("t" for q, "q" for t); both
     substitutions read the original exponents, so q="t", t="q" swaps the
     variables.  Raises SpecializationPole when the reduced denominator
-    vanishes.  One QTRat(num, den) makes the result, with one gcd.
+    vanishes.  The result is reduced with one gcd; the swap maps a
+    reduced pair to a reduced pair, so it only fixes the sign and takes
+    none.
     """
     num, a = _spec_poly(r.num, q, t)
     den, b = _spec_poly(r.den, q, t)
     if not den:
         raise SpecializationPole("denominator vanishes under " + ", ".join(
             f"{v}={x}" for v, x in (("q", q), ("t", t)) if x is not None))
-    return QTRat({k: v * b for k, v in num.items()},
-                 {k: v * a for k, v in den.items()})
+    return QTRat._raw(*_canonical({k: v * b for k, v in num.items()},
+                                  {k: v * a for k, v in den.items()},
+                                  coprime=(q, t) == ("t", "q")))
 
 
 def _spec_poly(d, q, t):

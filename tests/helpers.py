@@ -5,7 +5,6 @@ from math import factorial
 from macprod import hecke
 from macprod.compositions import check_composition, w_plus_inv
 from macprod.errors import IndexOutOfRange
-from macprod.lattice import OpMatrix, OpTerm, entry_add
 from macprod.oscillator import LOWER, RAISE
 from macprod.qtfield import _ONE_D, _dict_divexact, _dict_mul, factor_product
 from macprod.xpoly import XNum, XPoly, pack
@@ -75,28 +74,23 @@ def net_change(word):
 
 
 def merge_family_one(mat, space=0):
-    """Substitute a_1 = a_1+ = 1, k_1 = 0 in the family-1 slot."""
-    out = OpMatrix(mat.nrows, mat.ncols)
-    for pos, e in mat.entries.items():
-        terms = []
-        for t in e:
-            dead = False
-            kept = []
-            for slot, atoms in t.factors:
-                if slot != (space, 1):
-                    kept.append((slot, atoms))
-                    continue
-                for atom in atoms:
-                    if atom[0] == "k" and atom[1] > 0:
-                        dead = True
-                        break
-                if dead:
-                    break
-            if not dead:
-                terms.append(OpTerm(t.xdeg, t.ydeg, t.scalar, tuple(kept)))
-        ne = entry_add(tuple(terms))
-        if ne:
-            out.entries[pos] = ne
+    """Substitute a_1 = a_1+ = 1, k_1 = 0 in the family-1 slot of a matrix
+    {(row, col): entry} of words grouped as in macprod.lattice."""
+    out = {}
+    for pos, e in mat.items():
+        acc = {}
+        for w, c in e.items():
+            atoms = dict(w).get((space, 1), ())
+            if any(atom[0] == "k" and atom[1] > 0 for atom in atoms):
+                continue
+            merged = acc.setdefault(tuple(f for f in w if f[0] != (space, 1)),
+                                    {})
+            for k, v in c.items():
+                merged[k] = merged.get(k, 0) + v
+        entry = {w: c for w, merged in acc.items()
+                 if (c := {k: v for k, v in merged.items() if v})}
+        if entry:
+            out[pos] = entry
     return out
 
 

@@ -32,6 +32,13 @@ def _tl(level):
     return build_tildeL(level, space=level)
 
 
+def _xdeg_word(entry):
+    """(xdeg, word) of a one-word, one-monomial entry of tL."""
+    (w, coeff), = entry.items()
+    (xdeg, _, _, _), = coeff
+    return xdeg, w
+
+
 def _slots(r):
     return [(j, f) for j in range(2, r + 1) for f in range(2, j + 1)]
 
@@ -62,12 +69,12 @@ def row_paths(part, r):
         xdeg = 0
         fac = {}
         for idx, j in enumerate(range(r, 0, -1)):
-            e = _tl(j).entry(p[idx], p[idx + 1])
+            e = _tl(j).get((p[idx], p[idx + 1]))
             if not e:
                 break
-            t = e[0]
-            xdeg += t.xdeg
-            for slot, atoms in t.factors:
+            x, w = _xdeg_word(e)
+            xdeg += x
+            for slot, atoms in w:
                 fac[slot] = atoms
         else:
             net = tuple((slot, net_change(atoms)) for slot, atoms in fac.items())
@@ -109,13 +116,13 @@ def level_transfers(lam, r):
     as (mu, exps, unreduced Factored weight), in lexicographic order of
     mu, zero weights included.  Each family word is the row words in row
     order followed by the twist atom."""
-    rows = [[(col, _tl(r).entry(part, col)[0]) for col in range(r)
-             if _tl(r).entry(part, col)] for part in lam]
+    rows = [[(col, _xdeg_word(_tl(r)[part, col])) for col in range(r)
+             if (part, col) in _tl(r)] for part in lam]
     out = []
     for combo in product(*rows):
         words = {}
-        for _, t in combo:
-            for slot, atoms in t.factors:
+        for _, (_, w) in combo:
+            for slot, atoms in w:
                 words[slot] = words.get(slot, ()) + atoms
         families = range(2, r + 1)
         if any(net_change(words.get((r, f), ())) for f in families):
@@ -125,5 +132,5 @@ def level_transfers(lam, r):
             weight = weight * trace_factored(
                 words.get((r, f), ()) + (kpow(0, f - 1),))
         out.append((tuple(col for col, _ in combo),
-                    tuple(t.xdeg for _, t in combo), weight))
+                    tuple(xdeg for _, (xdeg, _) in combo), weight))
     return out

@@ -127,30 +127,30 @@ def laurent(value):
 
 
 def eval_entry(entry, slot_index, state, cutoff):
-    """Matrix elements of a formal lattice entry on |state>, as
+    """Matrix elements of a formal lattice entry, {word: {(xdeg, ydeg,
+    q_exp, t_exp): int}} as in macprod.lattice, on |state>, as
     {out_state: {(xdeg, ydeg): QTRat}}."""
     out = {}
-    for t in entry:
+    for w, coeff in entry.items():
         occ = list(state)
-        fac = Rat(t.scalar)
-        dead = False
-        for slot, atoms in t.factors:
+        fac = Rat(1)
+        for slot, atoms in w:
             i = slot_index[slot]
             h, f = walk(atoms, occ[i], cutoff=cutoff)
             if h is None or not f:
-                dead = True
                 break
             fac = fac * f
             occ[i] = h
-        if dead or not fac:
-            continue
-        bucket = out.setdefault(tuple(occ), {})
-        xy = (t.xdeg, t.ydeg)
-        nv = bucket[xy] + fac if xy in bucket else fac
-        if nv:
-            bucket[xy] = nv
         else:
-            del bucket[xy]
+            bucket = out.setdefault(tuple(occ), {})
+            for (x, y, qe, te), v in coeff.items():
+                nv = fac * Rat.monomial(qe=qe, te=te, c=v)
+                if (x, y) in bucket:
+                    nv = bucket[x, y] + nv
+                if nv:
+                    bucket[x, y] = nv
+                else:
+                    bucket.pop((x, y), None)
     return {k: v for k, v in out.items() if v}
 
 
@@ -163,18 +163,18 @@ def flatten(values):
             for st, bucket in values.items()}
 
 
-def matrices_first_mismatch(m1, m2, cutoff):
-    """First disagreeing matrix element over all input states with
-    occupations <= cutoff-2, as (position, slots, state), or None."""
+def matrices_first_mismatch(sides, cutoff):
+    """First disagreeing matrix element of sides, a list of (position,
+    lhs, rhs) in sorted order of position, over all input states with
+    occupations <= cutoff-2, as (position, slots, state), or None.  The
+    slots are those the entries carry."""
     if cutoff < 2:
         raise CutoffTooSmall("need cutoff >= 2 for the comparison margin")
-    if (m1.nrows, m1.ncols) != (m2.nrows, m2.ncols):
-        return ((), (), ())
-    slots = sorted(m1.slots() | m2.slots())
+    slots = sorted({slot for _, lhs, rhs in sides for e in (lhs, rhs)
+                    for w in e for slot, _ in w})
     slot_index = {s: i for i, s in enumerate(slots)}
     states = list(product(range(cutoff - 1), repeat=len(slots)))
-    for pos in sorted(set(m1.entries) | set(m2.entries)):
-        e1, e2 = m1.entry(*pos), m2.entry(*pos)
+    for pos, e1, e2 in sides:
         for st in states:
             if eval_entry(e1, slot_index, st, cutoff) != \
                     eval_entry(e2, slot_index, st, cutoff):

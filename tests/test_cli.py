@@ -113,7 +113,9 @@ def test_verify_passes(capsys):
     assert run(capsys, "verify", "recursion", "--lambda", "2,0,1")[0] == 0
     assert run(capsys, "verify", "oracle", "--lambda", "1,1")[0] == 0
     for kind, rank, cutoff in (("yba", 4, 4), ("rll", 4, 4), ("twist", 4, 4),
-                               ("zf", 4, 3), ("zf", 5, 4), ("zf", 4, 6)):
+                               ("zf", 4, 3), ("zf", 5, 4), ("zf", 4, 6),
+                               ("yba", 5, 4), ("rll", 5, 4), ("twist", 5, 4),
+                               ("zf", 5, 2)):
         assert run(capsys, "verify", kind, "--rank", str(rank), "--cutoff",
                    str(cutoff)) == (
             0, f"verify {kind} rank={rank} cutoff={cutoff}: pass\n", "")
